@@ -544,6 +544,7 @@ int writeInferenceReport(const std::string &Path) {
       "{\n"
       "  \"schema\": \"vega-inference-bench-2\",\n"
       "  \"gemm\": {\n"
+      "    \"isa\": \"%s\",\n"
       "    \"m\": %d, \"k\": %d, \"n\": %d,\n"
       "    \"naive_gflops\": %.4f,\n"
       "    \"blocked_gflops\": %.4f,\n"
@@ -589,7 +590,8 @@ int writeInferenceReport(const std::string &Path) {
       "    \"speedup_jobs4_vs_baseline\": %.3f\n"
       "  }\n"
       "}\n",
-      GemmM, GemmK, GemmN, NaiveGflops, BlockedGflops,
+      detail::kernelIsaName(detail::kernelIsa()), GemmM, GemmK, GemmN,
+      NaiveGflops, BlockedGflops,
       BlockedGflops / NaiveGflops, NTFp32Gflops, NTInt8Gflops,
       NTInt8Gflops / NTFp32Gflops, DecodeFixture::instance().Tokens, FullTps,
       KVTps, KVTps / FullTps, Int8Tps, Int8Tps / KVTps, PrefixTps,

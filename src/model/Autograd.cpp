@@ -81,23 +81,27 @@ namespace {
 
 thread_local int NoGradDepth = 0;
 
-TensorPtr makeResult(int Rows, int Cols,
-                     std::initializer_list<TensorPtr> Parents) {
+TensorPtr makeResult(int Rows, int Cols, const TensorPtr *ParentsBegin,
+                     const TensorPtr *ParentsEnd) {
   // Under a NoGradGuard the result is a plain value: no parent links (so
   // intermediates die with their last reference) and RequiresGrad=false
   // (so the op skips allocating its backward closure).
   if (NoGradDepth > 0)
     return makeTensor(Rows, Cols, /*RequiresGrad=*/false);
   bool NeedsGrad = false;
-  for (const TensorPtr &P : Parents)
-    if (P->RequiresGrad || P->Backward)
+  for (const TensorPtr *P = ParentsBegin; P != ParentsEnd; ++P)
+    if ((*P)->RequiresGrad || (*P)->Backward)
       NeedsGrad = true;
   // Grad buffers stay unallocated here; backward() materializes them for
   // the tapes it actually walks, so inference never pays for them.
   TensorPtr Out = makeTensor(Rows, Cols, NeedsGrad);
-  for (const TensorPtr &P : Parents)
-    Out->Parents.push_back(P);
+  Out->Parents.assign(ParentsBegin, ParentsEnd);
   return Out;
+}
+
+TensorPtr makeResult(int Rows, int Cols,
+                     std::initializer_list<TensorPtr> Parents) {
+  return makeResult(Rows, Cols, Parents.begin(), Parents.end());
 }
 
 } // namespace
@@ -105,265 +109,6 @@ TensorPtr makeResult(int Rows, int Cols,
 NoGradGuard::NoGradGuard() { ++NoGradDepth; }
 NoGradGuard::~NoGradGuard() { --NoGradDepth; }
 bool NoGradGuard::active() { return NoGradDepth > 0; }
-
-void vega::detail::gemmAccum(const float *A, const float *B, float *C, int M,
-                             int K, int N) {
-  for (int I = 0; I < M; ++I) {
-    const float *ARow = A + static_cast<size_t>(I) * K;
-    float *CRow = C + static_cast<size_t>(I) * N;
-    int P = 0;
-    for (; P + 4 <= K; P += 4) {
-      float A0 = ARow[P], A1 = ARow[P + 1], A2 = ARow[P + 2],
-            A3 = ARow[P + 3];
-      if (A0 != 0.0f && A1 != 0.0f && A2 != 0.0f && A3 != 0.0f) {
-        const float *B0 = B + static_cast<size_t>(P) * N;
-        const float *B1 = B0 + N, *B2 = B1 + N, *B3 = B2 + N;
-        for (int J = 0; J < N; ++J) {
-          float Acc = CRow[J];
-          Acc += A0 * B0[J];
-          Acc += A1 * B1[J];
-          Acc += A2 * B2[J];
-          Acc += A3 * B3[J];
-          CRow[J] = Acc;
-        }
-      } else {
-        // Mixed zero/non-zero rank-4 block: keep the skip-aware scalar
-        // schedule so 0·x products are never formed (x may be inf/NaN).
-        for (int T = 0; T < 4; ++T) {
-          float AV = ARow[P + T];
-          if (AV == 0.0f)
-            continue;
-          const float *BRow = B + static_cast<size_t>(P + T) * N;
-          for (int J = 0; J < N; ++J)
-            CRow[J] += AV * BRow[J];
-        }
-      }
-    }
-    for (; P < K; ++P) {
-      float AV = ARow[P];
-      if (AV == 0.0f)
-        continue;
-      const float *BRow = B + static_cast<size_t>(P) * N;
-      for (int J = 0; J < N; ++J)
-        CRow[J] += AV * BRow[J];
-    }
-  }
-}
-
-void vega::detail::gemmNT(const float *A, const float *B, float *C, int M,
-                          int K, int N) {
-  constexpr int JT = 4;
-  int J = 0;
-  if (M >= 8 && N >= JT) {
-    // Packed panel path: interleave a 4-row B panel once and stream it for
-    // every row of A, turning four strided operand streams into one.
-    thread_local std::vector<float> Packed;
-    Packed.resize(static_cast<size_t>(JT) * K);
-    for (; J + JT <= N; J += JT) {
-      const float *B0 = B + static_cast<size_t>(J) * K;
-      const float *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      for (int P = 0; P < K; ++P) {
-        Packed[static_cast<size_t>(P) * JT + 0] = B0[P];
-        Packed[static_cast<size_t>(P) * JT + 1] = B1[P];
-        Packed[static_cast<size_t>(P) * JT + 2] = B2[P];
-        Packed[static_cast<size_t>(P) * JT + 3] = B3[P];
-      }
-      for (int I = 0; I < M; ++I) {
-        const float *ARow = A + static_cast<size_t>(I) * K;
-        const float *Pk = Packed.data();
-        float C0 = 0.0f, C1 = 0.0f, C2 = 0.0f, C3 = 0.0f;
-        for (int P = 0; P < K; ++P) {
-          float AV = ARow[P];
-          C0 += AV * Pk[0];
-          C1 += AV * Pk[1];
-          C2 += AV * Pk[2];
-          C3 += AV * Pk[3];
-          Pk += JT;
-        }
-        float *CRow = C + static_cast<size_t>(I) * N;
-        CRow[J] = C0;
-        CRow[J + 1] = C1;
-        CRow[J + 2] = C2;
-        CRow[J + 3] = C3;
-      }
-    }
-  } else {
-    for (; J + JT <= N; J += JT) {
-      const float *B0 = B + static_cast<size_t>(J) * K;
-      const float *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      for (int I = 0; I < M; ++I) {
-        const float *ARow = A + static_cast<size_t>(I) * K;
-        float C0 = 0.0f, C1 = 0.0f, C2 = 0.0f, C3 = 0.0f;
-        for (int P = 0; P < K; ++P) {
-          float AV = ARow[P];
-          C0 += AV * B0[P];
-          C1 += AV * B1[P];
-          C2 += AV * B2[P];
-          C3 += AV * B3[P];
-        }
-        float *CRow = C + static_cast<size_t>(I) * N;
-        CRow[J] = C0;
-        CRow[J + 1] = C1;
-        CRow[J + 2] = C2;
-        CRow[J + 3] = C3;
-      }
-    }
-  }
-  for (; J < N; ++J) {
-    const float *BRow = B + static_cast<size_t>(J) * K;
-    for (int I = 0; I < M; ++I) {
-      const float *ARow = A + static_cast<size_t>(I) * K;
-      float Acc = 0.0f;
-      for (int P = 0; P < K; ++P)
-        Acc += ARow[P] * BRow[P];
-      C[static_cast<size_t>(I) * N + J] = Acc;
-    }
-  }
-}
-
-void vega::detail::gemmNTAccum(const float *A, const float *B, float *C,
-                               int M, int K, int N) {
-  constexpr int JT = 4;
-  for (int I = 0; I < M; ++I) {
-    const float *ARow = A + static_cast<size_t>(I) * K;
-    float *CRow = C + static_cast<size_t>(I) * N;
-    int J = 0;
-    for (; J + JT <= N; J += JT) {
-      const float *B0 = B + static_cast<size_t>(J) * K;
-      const float *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      float C0 = 0.0f, C1 = 0.0f, C2 = 0.0f, C3 = 0.0f;
-      for (int P = 0; P < K; ++P) {
-        float AV = ARow[P];
-        C0 += AV * B0[P];
-        C1 += AV * B1[P];
-        C2 += AV * B2[P];
-        C3 += AV * B3[P];
-      }
-      CRow[J] += C0;
-      CRow[J + 1] += C1;
-      CRow[J + 2] += C2;
-      CRow[J + 3] += C3;
-    }
-    for (; J < N; ++J) {
-      const float *BRow = B + static_cast<size_t>(J) * K;
-      float Acc = 0.0f;
-      for (int P = 0; P < K; ++P)
-        Acc += ARow[P] * BRow[P];
-      CRow[J] += Acc;
-    }
-  }
-}
-
-void vega::detail::gemmTNAccum(const float *A, const float *G, float *C,
-                               int M, int K, int N) {
-  for (int I = 0; I < M; ++I) {
-    const float *ARow = A + static_cast<size_t>(I) * K;
-    const float *GRow = G + static_cast<size_t>(I) * N;
-    int P = 0;
-    for (; P + 2 <= K; P += 2) {
-      float A0 = ARow[P], A1 = ARow[P + 1];
-      float *C0 = C + static_cast<size_t>(P) * N;
-      float *C1 = C0 + N;
-      if (A0 != 0.0f && A1 != 0.0f) {
-        for (int J = 0; J < N; ++J) {
-          C0[J] += A0 * GRow[J];
-          C1[J] += A1 * GRow[J];
-        }
-      } else {
-        if (A0 != 0.0f)
-          for (int J = 0; J < N; ++J)
-            C0[J] += A0 * GRow[J];
-        if (A1 != 0.0f)
-          for (int J = 0; J < N; ++J)
-            C1[J] += A1 * GRow[J];
-      }
-    }
-    for (; P < K; ++P) {
-      float AV = ARow[P];
-      if (AV == 0.0f)
-        continue;
-      float *CRow = C + static_cast<size_t>(P) * N;
-      for (int J = 0; J < N; ++J)
-        CRow[J] += AV * GRow[J];
-    }
-  }
-}
-
-void vega::detail::quantizeRowsQ8(const float *A, int Rows, int K, int8_t *Q,
-                                  float *Scale) {
-  for (int I = 0; I < Rows; ++I) {
-    const float *Row = A + static_cast<size_t>(I) * K;
-    int8_t *QRow = Q + static_cast<size_t>(I) * K;
-    float AbsMax = 0.0f;
-    for (int P = 0; P < K; ++P) {
-      float V = Row[P] < 0.0f ? -Row[P] : Row[P];
-      if (V > AbsMax)
-        AbsMax = V;
-    }
-    if (AbsMax == 0.0f) {
-      Scale[I] = 0.0f;
-      for (int P = 0; P < K; ++P)
-        QRow[P] = 0;
-      continue;
-    }
-    float S = AbsMax / 127.0f;
-    Scale[I] = S;
-    float Inv = 127.0f / AbsMax;
-    for (int P = 0; P < K; ++P) {
-      // Round-to-nearest, ties away from zero: deterministic and
-      // platform-independent (no dependence on the FP rounding mode).
-      float V = Row[P] * Inv;
-      int Code = static_cast<int>(V >= 0.0f ? V + 0.5f : V - 0.5f);
-      if (Code > 127)
-        Code = 127;
-      if (Code < -127)
-        Code = -127;
-      QRow[P] = static_cast<int8_t>(Code);
-    }
-  }
-}
-
-// The int8 dot products below are exact integer math, so aggressive
-// vectorization cannot change results — scope -O3 to just this kernel
-// (int16×int16→int32 widening dots map onto pmaddwd-style SIMD). The fp32
-// kernels keep the translation unit's flags: their codegen, and therefore
-// the fp32 bit-determinism contract, is untouched.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC push_options
-#pragma GCC optimize("O3")
-#endif
-void vega::detail::gemmNTQ8(const int8_t *QA, const float *ScaleA,
-                            const int8_t *QB, const float *ScaleB, float *C,
-                            int M, int K, int N) {
-  // Widening each A row to int16 once lets the inner loop run int16×int16
-  // multiplies (|code| ≤ 127, so every product fits int16 and the int32
-  // accumulator is exact for any practical K).
-  constexpr int MaxStackK = 1024;
-  int16_t Stack[MaxStackK];
-  std::vector<int16_t> Heap;
-  int16_t *AW = Stack;
-  if (K > MaxStackK) {
-    Heap.resize(static_cast<size_t>(K));
-    AW = Heap.data();
-  }
-  for (int I = 0; I < M; ++I) {
-    const int8_t *ARow = QA + static_cast<size_t>(I) * K;
-    for (int P = 0; P < K; ++P)
-      AW[P] = ARow[P];
-    float *CRow = C + static_cast<size_t>(I) * N;
-    const float SA = ScaleA[I];
-    for (int J = 0; J < N; ++J) {
-      const int8_t *BRow = QB + static_cast<size_t>(J) * K;
-      int32_t Acc = 0;
-      for (int P = 0; P < K; ++P)
-        Acc += AW[P] * static_cast<int16_t>(BRow[P]);
-      CRow[J] = static_cast<float>(Acc) * SA * ScaleB[J];
-    }
-  }
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC pop_options
-#endif
 
 TensorPtr vega::matmul(const TensorPtr &A, const TensorPtr &B) {
   assert(A->Cols == B->Rows && "matmul shape mismatch");
@@ -420,9 +165,8 @@ TensorPtr vega::add(const TensorPtr &A, const TensorPtr &B) {
 TensorPtr vega::addRow(const TensorPtr &A, const TensorPtr &B) {
   assert(B->Rows == 1 && B->Cols == A->Cols && "addRow shape mismatch");
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A, B});
-  for (int I = 0; I < A->Rows; ++I)
-    for (int J = 0; J < A->Cols; ++J)
-      Out->at(I, J) = A->at(I, J) + B->Data[static_cast<size_t>(J)];
+  detail::addBiasRows(A->Data.data(), B->Data.data(), Out->Data.data(),
+                      A->Rows, A->Cols);
   Tensor *AP = A.get(), *BP = B.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, BP, OP] {
@@ -492,22 +236,11 @@ TensorPtr vega::relu(const TensorPtr &A) {
 
 TensorPtr vega::softmaxRows(const TensorPtr &A, const Tensor *Mask) {
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A});
-  for (int I = 0; I < A->Rows; ++I) {
-    float Max = -1e30f;
-    for (int J = 0; J < A->Cols; ++J) {
-      float V = A->at(I, J) + (Mask ? Mask->at(I, J) : 0.0f);
-      Max = std::max(Max, V);
-    }
-    float Sum = 0.0f;
-    for (int J = 0; J < A->Cols; ++J) {
-      float V = A->at(I, J) + (Mask ? Mask->at(I, J) : 0.0f);
-      float E = std::exp(V - Max);
-      Out->at(I, J) = E;
-      Sum += E;
-    }
-    for (int J = 0; J < A->Cols; ++J)
-      Out->at(I, J) /= Sum;
-  }
+  const size_t C = static_cast<size_t>(A->Cols);
+  for (int I = 0; I < A->Rows; ++I)
+    detail::softmaxRow(A->Data.data() + I * C,
+                       Mask ? Mask->Data.data() + I * C : nullptr,
+                       Out->Data.data() + I * C, A->Cols);
   Tensor *AP = A.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, OP] {
@@ -534,25 +267,12 @@ TensorPtr vega::layerNorm(const TensorPtr &X, const TensorPtr &Gamma,
   TensorPtr Out = makeResult(X->Rows, X->Cols, {X, Gamma, Beta});
   const int C = X->Cols;
   std::vector<float> Mean(X->Rows), InvStd(X->Rows);
-  for (int I = 0; I < X->Rows; ++I) {
-    float Mu = 0.0f;
-    for (int J = 0; J < C; ++J)
-      Mu += X->at(I, J);
-    Mu /= C;
-    float Var = 0.0f;
-    for (int J = 0; J < C; ++J) {
-      float D = X->at(I, J) - Mu;
-      Var += D * D;
-    }
-    Var /= C;
-    float Inv = 1.0f / std::sqrt(Var + 1e-5f);
-    Mean[I] = Mu;
-    InvStd[I] = Inv;
-    for (int J = 0; J < C; ++J)
-      Out->at(I, J) =
-          (X->at(I, J) - Mu) * Inv * Gamma->Data[static_cast<size_t>(J)] +
-          Beta->Data[static_cast<size_t>(J)];
-  }
+  for (int I = 0; I < X->Rows; ++I)
+    detail::layerNormRow(X->Data.data() + static_cast<size_t>(I) * C,
+                         Gamma->Data.data(), Beta->Data.data(),
+                         Out->Data.data() + static_cast<size_t>(I) * C, C,
+                         Mean[static_cast<size_t>(I)],
+                         InvStd[static_cast<size_t>(I)]);
   Tensor *XP = X.get(), *GP = Gamma.get(), *BP = Beta.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [XP, GP, BP, OP, Mean, InvStd, C] {
@@ -631,9 +351,8 @@ TensorPtr vega::concatCols(const std::vector<TensorPtr> &Parts) {
     assert(P->Rows == Rows && "concat row mismatch");
     Cols += P->Cols;
   }
-  TensorPtr Out = makeTensor(Rows, Cols, true);
-  for (const TensorPtr &P : Parts)
-    Out->Parents.push_back(P);
+  TensorPtr Out =
+      makeResult(Rows, Cols, Parts.data(), Parts.data() + Parts.size());
   int Offset = 0;
   for (const TensorPtr &P : Parts) {
     for (int I = 0; I < Rows; ++I)

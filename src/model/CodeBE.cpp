@@ -163,6 +163,79 @@ TensorPtr CodeBE::linear(const TensorPtr &X, const LinearP &P) {
   return addRow(matmul(X, P.W), P.B);
 }
 
+namespace {
+
+/// linear() for one row on raw buffers: the matmul and addRow forward
+/// kernels in the same order, so Y is bit-identical to linear()'s row.
+void linearRow(const float *X, const TensorPtr &W, const TensorPtr &B,
+               float *Y) {
+  const int K = W->Rows, N = W->Cols;
+  std::fill(Y, Y + N, 0.0f);
+  detail::gemmAccum(X, W->Data.data(), Y, 1, K, N);
+  detail::addBiasRows(Y, B->Data.data(), Y, 1, N);
+}
+
+/// One gemmNT element: +0 plus every product in ascending order.
+float dotChain(const float *A, const float *B, int K) {
+  float Acc = 0.0f;
+  for (int P = 0; P < K; ++P)
+    Acc += A[P] * B[P];
+  return Acc;
+}
+
+/// A no-grad copy of \p T transposed.
+TensorPtr transposed(const Tensor &T) {
+  TensorPtr Out = makeTensor(T.Cols, T.Rows);
+  for (int R = 0; R < T.Rows; ++R)
+    for (int C = 0; C < T.Cols; ++C)
+      Out->at(C, R) = T.at(R, C);
+  return Out;
+}
+
+/// A no-grad 1×N tensor holding a copy of \p Row.
+TensorPtr rowTensor(const float *Row, int N) {
+  TensorPtr T = makeTensor(1, N);
+  std::copy(Row, Row + N, T->Data.begin());
+  return T;
+}
+
+/// The plan bias map of \p Step, or null when the plan has none there.
+const std::map<int, float> *planBias(const CodeBE::DecodePlan *Plan,
+                                     int Step) {
+  return Plan && Plan->Bias.size() > static_cast<size_t>(Step)
+             ? &Plan->Bias[static_cast<size_t>(Step)]
+             : nullptr;
+}
+
+/// Greedy choice over a plan step's admissible ids: the first id in
+/// step-set order with the highest bias-adjusted logit, skipping ids
+/// outside [0, Cols). \p LogitAt(K) returns the logit of StepSet[K];
+/// \p BestV carries the running maximum in and out.
+template <class LogitFn>
+int argmaxPlanStep(const std::vector<int> &StepSet,
+                   const std::map<int, float> *Bias, int Cols,
+                   LogitFn LogitAt, float &BestV) {
+  int Best = -1;
+  for (size_t K = 0; K < StepSet.size(); ++K) {
+    const int J = StepSet[K];
+    if (J < 0 || J >= Cols)
+      continue;
+    float Score = LogitAt(K);
+    if (Bias) {
+      auto It = Bias->find(J);
+      if (It != Bias->end())
+        Score += It->second;
+    }
+    if (Score > BestV) {
+      BestV = Score;
+      Best = J;
+    }
+  }
+  return Best;
+}
+
+} // namespace
+
 std::unique_ptr<Tensor> CodeBE::causalMask(int Len) const {
   auto Mask = std::make_unique<Tensor>(Len, Len, false);
   for (int I = 0; I < Len; ++I)
@@ -418,17 +491,19 @@ struct CodeBE::KVPrefix {
 };
 
 /// Incremental decode scratch. SelfK/SelfV hold the per-layer K/V rows this
-/// decode appended past the shared Prefix (row-major, tail-rows×DModel);
-/// CrossK/CrossV hold the cross-attention projections of the encoder
-/// memory, computed once per generate() and pre-sliced per head (read-only,
-/// so forks share them by pointer). Copying a sealed state is the O(1)
-/// copy-on-write fork: the prefix chain and cross projections are shared,
-/// the tail starts empty.
+/// decode appended past the shared Prefix (row-major, tail-rows×DModel).
+/// The cross-attention operands are computed once per encoder pass and are
+/// read-only, so forks share them by pointer: CrossKT holds each head's
+/// keys transposed (Dk×S) and CrossV its values (S×Dk); MemoryT is the
+/// encoder memory transposed (DModel×S) for the copy head. Copying a sealed
+/// state is the O(1) copy-on-write fork: the prefix chain and cross
+/// operands are shared, the tail starts empty.
 struct CodeBE::KVCacheState {
   TensorPtr Memory;
-  std::vector<std::vector<TensorPtr>> CrossK, CrossV; ///< [layer][head]
-  std::shared_ptr<const KVPrefix> Prefix;             ///< sealed shared rows
-  std::vector<std::vector<float>> SelfK, SelfV;       ///< [layer] owned tail
+  TensorPtr MemoryT;
+  std::vector<std::vector<TensorPtr>> CrossKT, CrossV; ///< [layer][head]
+  std::shared_ptr<const KVPrefix> Prefix;              ///< sealed shared rows
+  std::vector<std::vector<float>> SelfK, SelfV;        ///< [layer] owned tail
   int Len = 0; ///< total rows = prefix rows + tail rows
 
   int prefixRows() const { return Prefix ? Prefix->TotalRows : 0; }
@@ -453,6 +528,26 @@ struct CodeBE::KVCacheState {
   }
 };
 
+/// Row buffers reused by every decodeStep/columnLogits call on one stream.
+/// Buffers only grow (to the longest prefix and source seen), so a stream's
+/// steady-state step performs no allocation.
+struct CodeBE::StepScratch {
+  std::vector<float> X, Q, K, V, Heads, Proj, Sum, Y, Z, FF;
+  std::vector<float> Scores, Att; ///< [head] × attended rows
+  std::vector<const KVPrefix *> Chain;
+  /// Copy head: projected query, scores/attention over the source, and a
+  /// vocabulary-wide mass row kept all-zero between calls.
+  std::vector<float> CopyQ, CopyScores, CopyAtt, CopyRow;
+  std::vector<int8_t> QRow;      ///< the quantized decoder row (INT8)
+  std::vector<float> ColLogits; ///< columnLogits output, one per step id
+
+  static float *fit(std::vector<float> &B, size_t N) {
+    if (B.size() < N)
+      B.resize(N);
+    return B.data();
+  }
+};
+
 /// Everything one in-flight decode owns: the truncated input, borrowed
 /// constraint pointers, the KV scratch, and the partial result. Step/Done
 /// carry the decode position across decodeStepMany() calls, so a stream can
@@ -463,6 +558,7 @@ struct CodeBE::DecodeStream::Impl {
   const DecodePlan *Plan = nullptr;              ///< borrowed
   bool WithProbs = false;
   KVCacheState St;
+  StepScratch Scratch;
   TensorPtr PresenceRow;
   Decoded Result;
   int PrevTok = 0;
@@ -483,25 +579,71 @@ const CodeBE::Decoded &CodeBE::DecodeStream::partial() const {
   return I->Result;
 }
 
-TensorPtr CodeBE::decodeStep(KVCacheState &St, int TokenId) {
+void CodeBE::initCross(KVCacheState &St, const TensorPtr &Memory) {
+  const int Dk = Config.DModel / Config.Heads;
+  St.Memory = Memory;
+  St.MemoryT = transposed(*Memory);
+  St.CrossKT.assign(Dec.size(), {});
+  St.CrossV.assign(Dec.size(), {});
+  St.SelfK.assign(Dec.size(), {});
+  St.SelfV.assign(Dec.size(), {});
+  for (size_t LI = 0; LI < Dec.size(); ++LI) {
+    TensorPtr K = linear(Memory, Dec[LI].Cross.K);
+    TensorPtr V = linear(Memory, Dec[LI].Cross.V);
+    for (int HI = 0; HI < Config.Heads; ++HI) {
+      St.CrossKT[LI].push_back(transposed(*sliceCols(K, HI * Dk, Dk)));
+      St.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
+    }
+  }
+}
+
+const float *CodeBE::decodeStep(KVCacheState &St, StepScratch &S,
+                                int TokenId) {
+  // Every statement below is the raw-kernel form of the tensor op in
+  // decLayer()/attention(), performing the same float operations in the
+  // same order, so the output row is bit-identical to the taped decoder's.
   const int D = Config.DModel, H = Config.Heads, Dk = D / H;
   const float AttnScale = 1.0f / std::sqrt(static_cast<float>(Dk));
-  // Single-row embedding — embed() with position index St.Len.
-  std::vector<int> Ids = {TokenId};
-  std::vector<std::vector<int>> Lists = {
-      Vocabulary.pieceLists()[static_cast<size_t>(TokenId)]};
-  TensorPtr Tok = add(gatherRows(Etok, Ids), sparseMix(Epiece, Lists));
-  int Pos = St.Len < EposDst->Rows ? St.Len : EposDst->Rows - 1;
-  TensorPtr X = add(Tok, gatherRows(EposDst, {Pos}));
+  const int Len = St.Len + 1;
+  const int Src = St.Memory->Rows;
+  const size_t Span = static_cast<size_t>(std::max(Len, Src));
+  float *X = StepScratch::fit(S.X, D), *Q = StepScratch::fit(S.Q, D);
+  float *K = StepScratch::fit(S.K, D), *V = StepScratch::fit(S.V, D);
+  float *Heads = StepScratch::fit(S.Heads, D);
+  float *Proj = StepScratch::fit(S.Proj, D), *Sum = StepScratch::fit(S.Sum, D);
+  float *Y = StepScratch::fit(S.Y, D), *Z = StepScratch::fit(S.Z, D);
+  float *FF = StepScratch::fit(S.FF, static_cast<size_t>(Config.FFDim));
+  float *Scores = StepScratch::fit(S.Scores, H * Span);
+  float *Att = StepScratch::fit(S.Att, H * Span);
+
+  // Embedding — embed() for one id at position St.Len: (token + piece mix)
+  // + position.
+  {
+    const std::vector<int> &Pieces =
+        Vocabulary.pieceLists()[static_cast<size_t>(TokenId)];
+    std::fill(Sum, Sum + D, 0.0f);
+    if (!Pieces.empty()) {
+      const float Inv = 1.0f / static_cast<float>(Pieces.size());
+      for (int P : Pieces) {
+        const float *E = Epiece->Data.data() + static_cast<size_t>(P) * D;
+        for (int J = 0; J < D; ++J)
+          Sum[J] += E[J] * Inv;
+      }
+    }
+    const int Pos = St.Len < EposDst->Rows ? St.Len : EposDst->Rows - 1;
+    const float *Tok = Etok->Data.data() + static_cast<size_t>(TokenId) * D;
+    const float *PosRow = EposDst->Data.data() + static_cast<size_t>(Pos) * D;
+    for (int J = 0; J < D; ++J)
+      X[J] = (Tok[J] + Sum[J]) + PosRow[J];
+  }
 
   // Shared-prefix chain, root-first (chronological row order). Computed
   // once per step; the same chain serves every layer.
-  std::vector<const KVPrefix *> Chain;
+  S.Chain.clear();
   for (const KVPrefix *N = St.Prefix.get(); N; N = N->Parent.get())
-    Chain.push_back(N);
-  std::reverse(Chain.begin(), Chain.end());
+    S.Chain.push_back(N);
+  std::reverse(S.Chain.begin(), S.Chain.end());
 
-  const int Len = St.Len + 1;
   for (size_t LI = 0; LI < Dec.size(); ++LI) {
     DecLayerP &L = Dec[LI];
     // Self-attention over the cached prefix plus this row. Restricting the
@@ -509,59 +651,175 @@ TensorPtr CodeBE::decodeStep(KVCacheState &St, int TokenId) {
     // pass: masked scores sit at ~-1e9, so their exp() underflows to
     // exactly 0.0f and they contribute nothing to max, sum, or the
     // attention-weighted value rows.
-    TensorPtr Qr = linear(X, L.Self.Q);
-    TensorPtr Kr = linear(X, L.Self.K);
-    TensorPtr Vr = linear(X, L.Self.V);
-    std::vector<float> &KCache = St.SelfK[LI];
-    std::vector<float> &VCache = St.SelfV[LI];
-    KCache.insert(KCache.end(), Kr->Data.begin(), Kr->Data.end());
-    VCache.insert(VCache.end(), Vr->Data.begin(), Vr->Data.end());
-    // Assemble the full Len×D key/value matrices: shared prefix nodes
-    // root-first, then the owned tail — byte-for-byte the rows a single
-    // flat cache would hold.
-    TensorPtr KAll = makeTensor(Len, D);
-    TensorPtr VAll = makeTensor(Len, D);
-    {
-      float *KD = KAll->Data.data();
-      float *VD = VAll->Data.data();
-      size_t Off = 0;
-      for (const KVPrefix *Node : Chain) {
-        const std::vector<float> &NK = Node->K[LI];
-        const std::vector<float> &NV = Node->V[LI];
-        std::copy(NK.begin(), NK.end(), KD + Off);
-        std::copy(NV.begin(), NV.end(), VD + Off);
-        Off += NK.size();
+    linearRow(X, L.Self.Q.W, L.Self.Q.B, Q);
+    linearRow(X, L.Self.K.W, L.Self.K.B, K);
+    linearRow(X, L.Self.V.W, L.Self.V.B, V);
+    std::vector<float> &KTail = St.SelfK[LI];
+    std::vector<float> &VTail = St.SelfV[LI];
+    KTail.insert(KTail.end(), K, K + D);
+    VTail.insert(VTail.end(), V, V + D);
+    // K/V rows are read in place: the prefix nodes root-first, then the
+    // owned tail — the row order of a single flat cache.
+    auto ForEachRun = [&](auto Fn) {
+      int Row = 0;
+      for (const KVPrefix *Node : S.Chain) {
+        Fn(Node->K[LI].data(), Node->V[LI].data(), Row, Node->Rows);
+        Row += Node->Rows;
       }
-      std::copy(KCache.begin(), KCache.end(), KD + Off);
-      std::copy(VCache.begin(), VCache.end(), VD + Off);
-    }
-    std::vector<TensorPtr> Heads;
-    for (int HI = 0; HI < H; ++HI) {
-      TensorPtr Qh = sliceCols(Qr, HI * Dk, Dk);
-      TensorPtr Kh = sliceCols(KAll, HI * Dk, Dk);
-      TensorPtr Vh = sliceCols(VAll, HI * Dk, Dk);
-      TensorPtr Scores = scale(matmulNT(Qh, Kh), AttnScale);
-      TensorPtr A = softmaxRows(Scores);
-      Heads.push_back(matmul(A, Vh));
-    }
-    TensorPtr AO = linear(concatCols(Heads), L.Self.O);
-    TensorPtr Y = layerNorm(add(X, AO), L.N1.G, L.N1.B);
+      Fn(KTail.data(), VTail.data(), Row, Len - Row);
+    };
+    ForEachRun([&](const float *KRows, const float *, int Row, int Rows) {
+      for (int R = 0; R < Rows; ++R)
+        for (int HI = 0; HI < H; ++HI)
+          Scores[static_cast<size_t>(HI) * Len + Row + R] =
+              dotChain(Q + HI * Dk,
+                       KRows + static_cast<size_t>(R) * D + HI * Dk, Dk) *
+              AttnScale;
+    });
+    for (int HI = 0; HI < H; ++HI)
+      detail::softmaxRow(Scores + static_cast<size_t>(HI) * Len, nullptr,
+                         Att + static_cast<size_t>(HI) * Len, Len);
+    std::fill(Heads, Heads + D, 0.0f);
+    ForEachRun([&](const float *, const float *VRows, int Row, int Rows) {
+      for (int HI = 0; HI < H; ++HI)
+        detail::gemmAccumStrided(Att + static_cast<size_t>(HI) * Len + Row,
+                                 Rows, VRows + HI * Dk, D, Heads + HI * Dk, Dk,
+                                 1, Rows, Dk);
+    });
+    linearRow(Heads, L.Self.O.W, L.Self.O.B, Proj);
+    for (int J = 0; J < D; ++J)
+      Sum[J] = X[J] + Proj[J];
+    float Mean, InvStd;
+    detail::layerNormRow(Sum, L.N1.G->Data.data(), L.N1.B->Data.data(), Y, D,
+                         Mean, InvStd);
+
     // Cross-attention against the precomputed memory projections.
-    TensorPtr Qc = linear(Y, L.Cross.Q);
-    std::vector<TensorPtr> CHeads;
+    linearRow(Y, L.Cross.Q.W, L.Cross.Q.B, Q);
+    std::fill(Heads, Heads + D, 0.0f);
     for (int HI = 0; HI < H; ++HI) {
-      TensorPtr Qh = sliceCols(Qc, HI * Dk, Dk);
-      TensorPtr Scores = scale(matmulNT(Qh, St.CrossK[LI][HI]), AttnScale);
-      TensorPtr A = softmaxRows(Scores);
-      CHeads.push_back(matmul(A, St.CrossV[LI][HI]));
+      float *Sc = Scores + static_cast<size_t>(HI) * Src;
+      float *A = Att + static_cast<size_t>(HI) * Src;
+      detail::gemmDense(Q + HI * Dk, St.CrossKT[LI][HI]->Data.data(), Sc, 1,
+                        Dk, Src);
+      for (int J = 0; J < Src; ++J)
+        Sc[J] = Sc[J] * AttnScale;
+      detail::softmaxRow(Sc, nullptr, A, Src);
+      detail::gemmAccum(A, St.CrossV[LI][HI]->Data.data(), Heads + HI * Dk, 1,
+                        Src, Dk);
     }
-    TensorPtr C = linear(concatCols(CHeads), L.Cross.O);
-    TensorPtr Z = layerNorm(add(Y, C), L.N2.G, L.N2.B);
-    TensorPtr F = linear(relu(linear(Z, L.F1)), L.F2);
-    X = layerNorm(add(Z, F), L.N3.G, L.N3.B);
+    linearRow(Heads, L.Cross.O.W, L.Cross.O.B, Proj);
+    for (int J = 0; J < D; ++J)
+      Sum[J] = Y[J] + Proj[J];
+    detail::layerNormRow(Sum, L.N2.G->Data.data(), L.N2.B->Data.data(), Z, D,
+                         Mean, InvStd);
+
+    linearRow(Z, L.F1.W, L.F1.B, FF);
+    for (int J = 0; J < Config.FFDim; ++J)
+      FF[J] = FF[J] > 0.0f ? FF[J] : 0.0f;
+    linearRow(FF, L.F2.W, L.F2.B, Proj);
+    for (int J = 0; J < D; ++J)
+      Sum[J] = Z[J] + Proj[J];
+    detail::layerNormRow(Sum, L.N3.G->Data.data(), L.N3.B->Data.data(), X, D,
+                         Mean, InvStd);
   }
   ++St.Len;
   return X;
+}
+
+void CodeBE::columnLogits(const float *DecRow, const KVCacheState &St,
+                          const std::vector<int> &Input,
+                          const Tensor &PresenceRow,
+                          const std::vector<int> &Ids, StepScratch &S,
+                          float *Out) {
+  const int D = Config.DModel;
+  const int V = static_cast<int>(Vocabulary.size());
+  const int Src = St.Memory->Rows;
+  // Copy head, as in logitsFor: scaled scores against the encoder memory,
+  // a softmax over the source, and the attention mass scattered onto the
+  // source ids in ascending source order (repeated ids accumulate exactly
+  // as copyScatter does).
+  float *CopyQ = StepScratch::fit(S.CopyQ, D);
+  float *CScores = StepScratch::fit(S.CopyScores, Src);
+  float *CAtt = StepScratch::fit(S.CopyAtt, Src);
+  if (S.CopyRow.size() != static_cast<size_t>(V))
+    S.CopyRow.assign(static_cast<size_t>(V), 0.0f);
+  float *CopyRow = S.CopyRow.data();
+  linearRow(DecRow, CopyProj.W, CopyProj.B, CopyQ);
+  detail::gemmDense(CopyQ, St.MemoryT->Data.data(), CScores, 1, D, Src);
+  const float Scale = 1.0f / std::sqrt(static_cast<float>(Config.DModel));
+  for (int J = 0; J < Src; ++J)
+    CScores[J] = CScores[J] * Scale;
+  detail::softmaxRow(CScores, nullptr, CAtt, Src);
+  for (int J = 0; J < Src; ++J)
+    CopyRow[Input[static_cast<size_t>(J)]] += CAtt[J];
+
+  const float CG = CopyGate->Data[0], SB = SrcBias->Data[0];
+  const float *Presence = PresenceRow.Data.data();
+  if (Prec == Precision::INT8) {
+    // The quantized route of logitsFor, one column at a time: each column
+    // is an exact int32 dot product times the same two scales.
+    if (QCombDirty.load(std::memory_order_acquire))
+      refreshQCombCache();
+    S.QRow.resize(static_cast<size_t>(D));
+    float SA = 0.0f;
+    detail::quantizeRowsQ8(DecRow, 1, D, S.QRow.data(), &SA);
+    for (size_t K = 0; K < Ids.size(); ++K) {
+      const int J = Ids[K];
+      if (J < 0 || J >= V)
+        continue;
+      float Base = 0.0f;
+      detail::gemmNTQ8(S.QRow.data(), &SA,
+                       QCombData.data() + static_cast<size_t>(J) * D,
+                       QCombScale.data() + J, &Base, 1, D, 1);
+      Out[K] = (Base + CopyRow[J] * CG) + Presence[J] * SB;
+    }
+  } else {
+    if (CombDirty.load(std::memory_order_acquire))
+      refreshCombCache();
+    TensorPtr Comb = CombCache;
+    for (size_t K = 0; K < Ids.size(); ++K) {
+      const int J = Ids[K];
+      if (J < 0 || J >= V)
+        continue;
+      const float Base = dotChain(
+          DecRow, Comb->Data.data() + static_cast<size_t>(J) * D, D);
+      Out[K] = (Base + CopyRow[J] * CG) + Presence[J] * SB;
+    }
+  }
+  for (int J = 0; J < Src; ++J)
+    CopyRow[Input[static_cast<size_t>(J)]] = 0.0f;
+}
+
+std::vector<float> CodeBE::planStepLogits(const std::vector<int> &Src,
+                                          const std::vector<int> &Prefix,
+                                          const std::vector<int> &Ids,
+                                          bool Columns) {
+  NoGradGuard Guard;
+  std::vector<int> Input = Src;
+  if (static_cast<int>(Input.size()) > Config.MaxSrcLen)
+    Input.resize(static_cast<size_t>(Config.MaxSrcLen));
+  KVCacheState St;
+  initCross(St, runEncoder(Input));
+  StepScratch S;
+  TensorPtr PresenceRow = presenceFor(1, Input);
+  const float *Row = nullptr;
+  int Prev = Vocabulary.e2dId();
+  for (size_t I = 0; I <= Prefix.size(); ++I) {
+    Row = decodeStep(St, S, Prev);
+    if (I < Prefix.size())
+      Prev = Prefix[I];
+  }
+  std::vector<float> Out(Ids.size(), 0.0f);
+  if (Columns) {
+    columnLogits(Row, St, Input, *PresenceRow, Ids, S, Out.data());
+    return Out;
+  }
+  TensorPtr Logits = logitsFor(rowTensor(Row, Config.DModel), St.Memory,
+                               Input, /*UseCombCache=*/true, PresenceRow);
+  for (size_t K = 0; K < Ids.size(); ++K)
+    if (Ids[K] >= 0 && Ids[K] < Logits->Cols)
+      Out[K] = Logits->at(0, Ids[K]);
+  return Out;
 }
 
 int CodeBE::chooseGreedy(const TensorPtr &Logits,
@@ -577,24 +835,9 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
   int Best = -1;
   float BestV = -1e30f;
   if (StepSet) {
-    const std::map<int, float> *Bias =
-        Plan->Bias.size() > static_cast<size_t>(Step)
-            ? &Plan->Bias[static_cast<size_t>(Step)]
-            : nullptr;
-    for (int J : *StepSet) {
-      if (J < 0 || J >= Logits->Cols)
-        continue;
-      float Score = Logits->at(Last, J);
-      if (Bias) {
-        auto It = Bias->find(J);
-        if (It != Bias->end())
-          Score += It->second;
-      }
-      if (Score > BestV) {
-        BestV = Score;
-        Best = J;
-      }
-    }
+    Best = argmaxPlanStep(
+        *StepSet, planBias(Plan, Step), Logits->Cols,
+        [&](size_t K) { return Logits->at(Last, (*StepSet)[K]); }, BestV);
   } else {
     auto IsAllowed = [&](int Id) {
       if (!Allowed)
@@ -641,7 +884,8 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
   return Best;
 }
 
-bool CodeBE::decodeGreedyKV(KVCacheState &St, const std::vector<int> &Input,
+bool CodeBE::decodeGreedyKV(KVCacheState &St, StepScratch &S,
+                            const std::vector<int> &Input,
                             const std::vector<uint8_t> *Allowed,
                             const DecodePlan *Plan, bool WithProbs, int Begin,
                             int End, const TensorPtr &PresenceRow,
@@ -665,19 +909,32 @@ bool CodeBE::decodeGreedyKV(KVCacheState &St, const std::vector<int> &Input,
       const int J = (*StepSet)[0];
       if (J < 0 || J >= static_cast<int>(Vocabulary.size()))
         return true; // the argmax would find nothing admissible
-      decodeStep(St, PrevTok);
+      decodeStep(St, S, PrevTok);
       if (J == Vocabulary.eosId())
         return true;
       Result.Tokens.push_back(J);
       PrevTok = J;
       continue;
     }
-    TensorPtr DecRow = decodeStep(St, PrevTok);
-    TensorPtr Logits =
-        logitsFor(DecRow, St.Memory, Input, /*UseCombCache=*/true,
-                  PresenceRow);
+    const float *Row = decodeStep(St, S, PrevTok);
     double Prob = 1.0;
-    int Best = chooseGreedy(Logits, Allowed, Plan, Step, WithProbs, Prob);
+    int Best;
+    if (StepSet && !WithProbs) {
+      // Admissible-column route: the argmax reads only the step set, so
+      // only its columns of the logits row are computed — bit-identical
+      // to those columns of the full row (columnLogits).
+      float *Cols = StepScratch::fit(S.ColLogits, StepSet->size());
+      columnLogits(Row, St, Input, *PresenceRow, *StepSet, S, Cols);
+      float BestV = -1e30f;
+      Best = argmaxPlanStep(
+          *StepSet, planBias(Plan, Step), static_cast<int>(Vocabulary.size()),
+          [&](size_t K) { return Cols[K]; }, BestV);
+    } else {
+      TensorPtr Logits =
+          logitsFor(rowTensor(Row, Config.DModel), St.Memory, Input,
+                    /*UseCombCache=*/true, PresenceRow);
+      Best = chooseGreedy(Logits, Allowed, Plan, Step, WithProbs, Prob);
+    }
     if (Best < 0 || Best == Vocabulary.eosId())
       return true;
     Result.Tokens.push_back(Best);
@@ -705,23 +962,12 @@ CodeBE::DecodeStream CodeBE::beginDecode(const std::vector<int> &Src,
   D.Allowed = Allowed;
   D.Plan = Plan;
   D.WithProbs = WithProbs;
+  TensorPtr Memory;
   {
     obs::Span EncSpan("model.encode", "model");
-    D.St.Memory = runEncoder(D.Input);
+    Memory = runEncoder(D.Input);
   }
-  const int Dk = Config.DModel / Config.Heads;
-  D.St.CrossK.resize(Dec.size());
-  D.St.CrossV.resize(Dec.size());
-  D.St.SelfK.resize(Dec.size());
-  D.St.SelfV.resize(Dec.size());
-  for (size_t LI = 0; LI < Dec.size(); ++LI) {
-    TensorPtr K = linear(D.St.Memory, Dec[LI].Cross.K);
-    TensorPtr V = linear(D.St.Memory, Dec[LI].Cross.V);
-    for (int HI = 0; HI < Config.Heads; ++HI) {
-      D.St.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
-      D.St.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
-    }
-  }
+  initCross(D.St, Memory);
   // The one-row presence bias is constant across all incremental steps.
   D.PresenceRow = presenceFor(1, D.Input);
   D.PrevTok = Vocabulary.e2dId();
@@ -765,8 +1011,9 @@ size_t CodeBE::decodeStepMany(const std::vector<DecodeStream *> &Streams) {
     // stream. A stream therefore produces the same bytes whether it is
     // stepped alone or interleaved with any co-batch.
     const bool Ended =
-        decodeGreedyKV(D.St, D.Input, D.Allowed, D.Plan, D.WithProbs, D.Step,
-                       D.Step + 1, D.PresenceRow, D.PrevTok, D.Result);
+        decodeGreedyKV(D.St, D.Scratch, D.Input, D.Allowed, D.Plan,
+                       D.WithProbs, D.Step, D.Step + 1, D.PresenceRow,
+                       D.PrevTok, D.Result);
     ++D.Step;
     if (Ended || D.Step >= Config.MaxDstLen)
       D.Done = true;
@@ -897,33 +1144,19 @@ CodeBE::generateGroup(const std::vector<GroupRequest> &Reqs, bool WithProbs) {
   // One decode scratch for the whole group: encoder memory and cross
   // projections are computed once and shared read-only by every fork.
   KVCacheState Proto;
-  {
-    const int Dk = Config.DModel / Config.Heads;
-    Proto.Memory = Memory;
-    Proto.CrossK.resize(Dec.size());
-    Proto.CrossV.resize(Dec.size());
-    Proto.SelfK.resize(Dec.size());
-    Proto.SelfV.resize(Dec.size());
-    for (size_t LI = 0; LI < Dec.size(); ++LI) {
-      TensorPtr K = linear(Memory, Dec[LI].Cross.K);
-      TensorPtr V = linear(Memory, Dec[LI].Cross.V);
-      for (int HI = 0; HI < Config.Heads; ++HI) {
-        Proto.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
-        Proto.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
-      }
-    }
-  }
+  initCross(Proto, Memory);
   TensorPtr PresenceRow = presenceFor(1, Input);
 
   // Decode the common prefix once. Any request's plan stands in for the
   // group over [0, Shared) — the steps are identical by construction.
   Decoded PrefixOut;
   int PrevTok = Vocabulary.e2dId();
-  bool Ended =
-      Shared > 0 && decodeGreedyKV(Proto, Input, Reqs[0].Allowed, Reqs[0].Plan,
-                                   /*WithProbs=*/false, 0,
-                                   static_cast<int>(Shared), PresenceRow,
-                                   PrevTok, PrefixOut);
+  StepScratch Scratch;
+  bool Ended = Shared > 0 &&
+               decodeGreedyKV(Proto, Scratch, Input, Reqs[0].Allowed,
+                              Reqs[0].Plan, /*WithProbs=*/false, 0,
+                              static_cast<int>(Shared), PresenceRow, PrevTok,
+                              PrefixOut);
 
   auto &Metrics = obs::MetricsRegistry::instance();
   Metrics.addCounter("gen.prefix.hits",
@@ -991,22 +1224,7 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
   // shared read-only by every hypothesis; self K/V rows are forked per
   // hypothesis when the beam branches.
   KVCacheState Proto;
-  {
-    const int Dk = Config.DModel / Config.Heads;
-    Proto.Memory = Memory;
-    Proto.CrossK.resize(Dec.size());
-    Proto.CrossV.resize(Dec.size());
-    Proto.SelfK.resize(Dec.size());
-    Proto.SelfV.resize(Dec.size());
-    for (size_t LI = 0; LI < Dec.size(); ++LI) {
-      TensorPtr K = linear(Memory, Dec[LI].Cross.K);
-      TensorPtr V = linear(Memory, Dec[LI].Cross.V);
-      for (int HI = 0; HI < Config.Heads; ++HI) {
-        Proto.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
-        Proto.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
-      }
-    }
-  }
+  initCross(Proto, Memory);
 
   auto IsAllowed = [&](int Id) {
     if (!Allowed)
@@ -1031,6 +1249,7 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
   };
 
   TensorPtr PresenceRow = presenceFor(1, Input);
+  StepScratch Scratch;
   for (int Step = 0; Step < Config.MaxDstLen && !Live.empty(); ++Step) {
     // Positions past the plan end every surviving statement, exactly like
     // the greedy loop.
@@ -1053,9 +1272,10 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
     std::vector<Expansion> Exps;
     for (size_t BI = 0; BI < Live.size(); ++BI) {
       LiveBeam &B = Live[BI];
-      TensorPtr DecRow = decodeStep(B.St, B.PrevTok);
-      TensorPtr Logits = logitsFor(DecRow, Memory, Input, /*UseCombCache=*/true,
-                                   PresenceRow);
+      const float *DecRow = decodeStep(B.St, Scratch, B.PrevTok);
+      TensorPtr Logits =
+          logitsFor(rowTensor(DecRow, Config.DModel), Memory, Input,
+                    /*UseCombCache=*/true, PresenceRow);
       int Last = Logits->Rows - 1;
       const float *Row = &Logits->Data[static_cast<size_t>(Last) * Logits->Cols];
       // Raw-row log-sum-exp: the same normalizer generate()'s confidence

@@ -35,6 +35,8 @@ namespace model {
 class Trainer;
 } // namespace model
 
+class CodeBEProbe;
+
 /// Numeric precision of the inference-time vocabulary projection (the
 /// dominant GEMM of every decode step). FP32 is the training path and the
 /// default; INT8 quantizes the combined-embedding matrix per row (symmetric
@@ -290,11 +292,33 @@ private:
   /// Per-call incremental decode scratch (one per generate() invocation,
   /// so concurrent decodes never share mutable state).
   struct KVCacheState;
+  /// Reusable row buffers for decodeStep and the admissible-column logits
+  /// (one per stream or beam search; never shared between threads).
+  struct StepScratch;
 
   TensorPtr linear(const TensorPtr &X, const LinearP &P);
+  /// Fills \p St's cross-attention operands for encoder output \p Memory
+  /// (per-head Kᵀ and V, Memoryᵀ for the copy head) and sizes its K/V
+  /// tails for the decoder layers.
+  void initCross(KVCacheState &St, const TensorPtr &Memory);
   /// Feeds one token through the decoder using (and extending) the K/V
-  /// cache; returns the new 1×DModel decoder output row.
-  TensorPtr decodeStep(KVCacheState &St, int TokenId);
+  /// cache, on raw row kernels over \p S (no Tensor is allocated); returns
+  /// the new DModel-wide decoder output row, valid until \p S is reused.
+  const float *decodeStep(KVCacheState &St, StepScratch &S, int TokenId);
+  /// The logitsFor row of decoder output \p DecRow evaluated only at
+  /// \p Ids (Out[K] for Ids[K]; ids outside the vocabulary are left
+  /// untouched), with the same float operations in the same order as the
+  /// fused inference tail of logitsFor, so every value is bit-identical to
+  /// that column of the full row.
+  void columnLogits(const float *DecRow, const KVCacheState &St,
+                    const std::vector<int> &Input, const Tensor &PresenceRow,
+                    const std::vector<int> &Ids, StepScratch &S, float *Out);
+  /// Logits at \p Ids for the position after \p Prefix (fed after [E2D])
+  /// for input \p Src, through columnLogits (\p Columns) or read off the
+  /// full logitsFor row — the two routes the bit-equality test compares.
+  std::vector<float> planStepLogits(const std::vector<int> &Src,
+                                    const std::vector<int> &Prefix,
+                                    const std::vector<int> &Ids, bool Columns);
   TensorPtr attention(const TensorPtr &XQ, const TensorPtr &XKV,
                       const MHAP &P, const Tensor *Mask);
   TensorPtr encLayer(const TensorPtr &X, EncLayerP &L);
@@ -328,7 +352,10 @@ private:
   /// last token fed to the decoder across calls. Returns true when the
   /// decode ended inside the range (EOS, no admissible token, or plan
   /// exhausted) — the caller must not continue it.
-  bool decodeGreedyKV(KVCacheState &St, const std::vector<int> &Input,
+  /// Constrained steps without probabilities choose through columnLogits;
+  /// the rest build the full logitsFor row.
+  bool decodeGreedyKV(KVCacheState &St, StepScratch &S,
+                      const std::vector<int> &Input,
                       const std::vector<uint8_t> *Allowed,
                       const DecodePlan *Plan, bool WithProbs, int Begin,
                       int End, const TensorPtr &PresenceRow, int &PrevTok,
@@ -374,6 +401,8 @@ private:
   /// The data-parallel training engine drives trainLoss/parameters/
   /// combinedEmbeddings directly.
   friend class model::Trainer;
+  /// White-box access for the model unit tests.
+  friend class CodeBEProbe;
 };
 
 } // namespace vega

@@ -157,9 +157,11 @@ TEST(Corpus, FunctionGroupsCoverTrainingTargets) {
       EXPECT_EQ(F->InterfaceName, G.InterfaceName);
   }
   // getRelocType applies to every training target.
-  for (const FunctionGroup &G : Groups)
-    if (G.InterfaceName == "getRelocType")
+  for (const FunctionGroup &G : Groups) {
+    if (G.InterfaceName == "getRelocType") {
       EXPECT_EQ(G.Members.size(), 21u);
+    }
+  }
 }
 
 TEST(Corpus, GoldenSourcesReparseToTheirOwnRender) {

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 using namespace vega;
 
@@ -169,6 +170,130 @@ TEST(Autograd, AdamReducesLoss) {
     Opt.step();
   }
   EXPECT_LT(Last, First * 0.2f);
+}
+
+TEST(Autograd, SimdGemmKernelsMatchScalarReference) {
+  // Every SIMD GEMM body the host can run must reproduce the scalar
+  // reference byte for byte: random shapes (N mostly not a multiple of
+  // the vector width), and zero / -0.0 entries of A facing inf/NaN
+  // entries of B, which pins down gemmAccum's skip of zero A entries.
+  // One NaN bit pattern (the x86 default NaN) is used throughout, so a
+  // NaN result cannot depend on which operand an add propagates.
+  using GemmFn = void (*)(const float *, const float *, float *, int, int,
+                          int);
+  struct Bodies {
+    detail::KernelIsa Isa;
+    GemmFn Accum, NT, Dense;
+  };
+  std::vector<Bodies> Levels;
+#ifdef VEGA_KERNELS_X86
+  Levels.push_back({detail::KernelIsa::AVX2, detail::gemmAccumAVX2,
+                    detail::gemmNTAVX2, detail::gemmDenseAVX2});
+  Levels.push_back({detail::KernelIsa::AVX512F, detail::gemmAccumAVX512F,
+                    detail::gemmNTAVX512F, detail::gemmDenseAVX512F});
+#endif
+  if (Levels.empty())
+    GTEST_SKIP() << "this build has no SIMD GEMM bodies";
+  uint32_t NaNBits = 0xFFC00000u;
+  float NaN;
+  std::memcpy(&NaN, &NaNBits, sizeof(NaN));
+  const float Inf = std::numeric_limits<float>::infinity();
+
+  RNG Rng(91);
+  std::vector<std::string> Missing;
+  for (const Bodies &L : Levels) {
+    if (!detail::kernelIsaSupported(L.Isa)) {
+      Missing.push_back(detail::kernelIsaName(L.Isa));
+      continue;
+    }
+    for (int Case = 0; Case < 300; ++Case) {
+      const int M = 1 + static_cast<int>(Rng.nextBelow(30));
+      const int K = 1 + static_cast<int>(Rng.nextBelow(200));
+      const int N = 1 + static_cast<int>(Rng.nextBelow(200));
+      const bool Special = Case % 3 == 0;
+      auto Fill = [&](std::vector<float> &V, bool IsA) {
+        for (float &X : V) {
+          X = static_cast<float>(Rng.nextGaussian());
+          if (!Special)
+            continue;
+          uint64_t Roll = Rng.nextBelow(16);
+          if (IsA && Roll == 0)
+            X = 0.0f;
+          else if (IsA && Roll == 1)
+            X = -0.0f;
+          else if (!IsA && Roll == 0)
+            X = Inf;
+          else if (!IsA && Roll == 1)
+            X = -Inf;
+          else if (!IsA && Roll == 2)
+            X = NaN;
+        }
+      };
+      std::vector<float> A(static_cast<size_t>(M) * K);
+      std::vector<float> B(static_cast<size_t>(K) * N);  // K×N (Accum/Dense)
+      std::vector<float> BT(static_cast<size_t>(N) * K); // N×K (NT)
+      std::vector<float> C0(static_cast<size_t>(M) * N);
+      Fill(A, true);
+      Fill(B, false);
+      Fill(BT, false);
+      Fill(C0, false);
+      const size_t Bytes = C0.size() * sizeof(float);
+      std::string Where = std::string(detail::kernelIsaName(L.Isa)) +
+                          " case " + std::to_string(Case) + " M=" +
+                          std::to_string(M) + " K=" + std::to_string(K) +
+                          " N=" + std::to_string(N);
+
+      std::vector<float> Want = C0, Got = C0;
+      detail::gemmAccumScalar(A.data(), B.data(), Want.data(), M, K, N);
+      L.Accum(A.data(), B.data(), Got.data(), M, K, N);
+      EXPECT_EQ(std::memcmp(Want.data(), Got.data(), Bytes), 0)
+          << "gemmAccum " << Where;
+
+      Want = C0;
+      Got = C0;
+      detail::gemmNTScalar(A.data(), BT.data(), Want.data(), M, K, N);
+      L.NT(A.data(), BT.data(), Got.data(), M, K, N);
+      EXPECT_EQ(std::memcmp(Want.data(), Got.data(), Bytes), 0)
+          << "gemmNT " << Where;
+
+      // gemmDense against the same operand transposed is gemmNT's chain.
+      std::vector<float> BTT(static_cast<size_t>(K) * N);
+      for (int J = 0; J < N; ++J)
+        for (int P = 0; P < K; ++P)
+          BTT[static_cast<size_t>(P) * N + J] =
+              BT[static_cast<size_t>(J) * K + P];
+      Got = C0;
+      L.Dense(A.data(), BTT.data(), Got.data(), M, K, N);
+      EXPECT_EQ(std::memcmp(Want.data(), Got.data(), Bytes), 0)
+          << "gemmDense " << Where;
+      std::vector<float> Scalar = C0;
+      detail::gemmDenseScalar(A.data(), BTT.data(), Scalar.data(), M, K, N);
+      EXPECT_EQ(std::memcmp(Want.data(), Scalar.data(), Bytes), 0)
+          << "gemmDenseScalar " << Where;
+    }
+  }
+  if (!Missing.empty()) {
+    std::string List;
+    for (const std::string &Name : Missing)
+      List += " " + Name;
+    GTEST_SKIP() << "host lacks:" << List;
+  }
+}
+
+TEST(Autograd, ConcatColsRecordsNoTapeUnderNoGrad) {
+  TensorPtr A = makeParam(2, 3, 0.5f, 19);
+  TensorPtr B = makeParam(2, 1, 0.5f, 20);
+  {
+    NoGradGuard Guard;
+    TensorPtr Out = concatCols({A, B});
+    EXPECT_TRUE(Out->Parents.empty());
+    EXPECT_FALSE(Out->Backward);
+    EXPECT_FALSE(Out->RequiresGrad);
+    EXPECT_EQ(Out->at(1, 3), B->at(1, 0));
+  }
+  TensorPtr Taped = concatCols({A, B});
+  EXPECT_EQ(Taped->Parents.size(), 2u);
+  EXPECT_TRUE(Taped->Backward);
 }
 
 TEST(Vocab, SpecialTokensExist) {
@@ -355,9 +480,10 @@ TEST(CodeBE, BeamWidthOneMatchesGreedyAndRanksDescend) {
     for (size_t I = 0; I < Four.size(); ++I) {
       EXPECT_EQ(Four[I].Tokens, FourAgain[I].Tokens) << "case " << Case;
       EXPECT_EQ(Four[I].Score, FourAgain[I].Score) << "case " << Case;
-      if (I > 0)
+      if (I > 0) {
         EXPECT_LE(Four[I].Score, Four[I - 1].Score)
             << "case " << Case << " rank " << I;
+      }
     }
     // Candidates are distinct statements, not duplicates.
     for (size_t I = 0; I < Four.size(); ++I)
@@ -923,4 +1049,79 @@ TEST(CodeBE, DecodeStepManyMatchesSoloWithMidFlightJoin) {
       EXPECT_EQ(Got[I].Probs[P], Want[I].Probs[P])
           << "stream " << I << " position " << P;
   }
+}
+
+namespace vega {
+/// White-box access to CodeBE's private decode routes.
+class CodeBEProbe {
+public:
+  static std::vector<float> planStepLogits(CodeBE &Model,
+                                           const std::vector<int> &Src,
+                                           const std::vector<int> &Prefix,
+                                           const std::vector<int> &Ids,
+                                           bool Columns) {
+    return Model.planStepLogits(Src, Prefix, Ids, Columns);
+  }
+};
+} // namespace vega
+
+TEST(CodeBE, ColumnLogitsMatchFullLogitsRow) {
+  // Constrained greedy steps compute logits only at the step's admissible
+  // ids. Each value must equal the same column of the full logitsFor row
+  // bit for bit under both precisions: sources with repeated ids (the
+  // copy head accumulates their attention mass in source order), ids out
+  // of the vocabulary (skipped by both routes), and decodes under plan
+  // biases, which must choose the same tokens as the full-row reference.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  CodeBE &Model = *M.Model;
+  const Vocab &V = M.V;
+  const int Vocab = static_cast<int>(V.size());
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+
+  std::vector<std::vector<int>> Srcs = {
+      {V.clsId(), W(3), W(3), W(7), W(3), W(1)},
+      {V.clsId(), W(5), W(2)},
+      {V.clsId(), W(9), W(9), W(9), W(9), W(9), W(9), W(9), W(4)}};
+  std::vector<int> Ids = {W(3), W(7), -1, V.eosId(), W(3), Vocab,
+                          V.csId(20), W(11), Vocab + 5, W(1)};
+  for (Precision P : {Precision::FP32, Precision::INT8}) {
+    Model.setPrecision(P);
+    for (size_t SI = 0; SI < Srcs.size(); ++SI)
+      for (const std::vector<int> &Prefix :
+           {std::vector<int>{}, std::vector<int>{V.csId(20)},
+            std::vector<int>{V.csId(20), W(3), W(7)}}) {
+        std::vector<float> Cols =
+            CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, true);
+        std::vector<float> Full =
+            CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, false);
+        for (size_t K = 0; K < Ids.size(); ++K) {
+          if (Ids[K] < 0 || Ids[K] >= Vocab)
+            continue;
+          EXPECT_EQ(std::memcmp(&Cols[K], &Full[K], sizeof(float)), 0)
+              << precisionName(P) << " source " << SI << " prefix "
+              << Prefix.size() << " id " << Ids[K] << ": " << Cols[K]
+              << " vs " << Full[K];
+        }
+      }
+
+    // End to end: the KV decoder (column route on constrained steps) and
+    // full recomputation (full rows) choose identically under biases that
+    // reorder the admissible set.
+    CodeBE::DecodePlan Plan;
+    Plan.Steps = {{V.csId(20), V.csId(0), -3},
+                  {W(3), W(7), W(1), Vocab + 1},
+                  {W(7), W(3), V.eosId()},
+                  {V.eosId(), W(9)}};
+    Plan.Bias = {{},
+                 {{W(7), 0.75f}, {W(1), -0.5f}},
+                 {{V.eosId(), -2.0f}, {W(3), 0.25f}}};
+    for (const std::vector<int> &Src : Srcs) {
+      Model.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
+      CodeBE::Decoded Want = Model.generate(Src, nullptr, &Plan, false);
+      Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
+      CodeBE::Decoded Got = Model.generate(Src, nullptr, &Plan, false);
+      EXPECT_EQ(Got.Tokens, Want.Tokens) << precisionName(P);
+    }
+  }
+  Model.setPrecision(Precision::FP32);
 }
