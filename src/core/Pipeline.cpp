@@ -127,8 +127,8 @@ uint64_t hashText(std::string_view Text) {
 
 } // namespace
 
-// Static storage for the global bool order, owned per system instance.
-// (Kept out of the header to keep the interface small.)
+// Per-instance Stage-1 lookups (kept out of the header to keep the
+// interface small).
 namespace vega {
 namespace detail {
 struct VegaSystemState {
@@ -141,33 +141,23 @@ struct VegaSystemState {
 } // namespace detail
 } // namespace vega
 
-static std::map<const VegaSystem *, vega::detail::VegaSystemState> &
-stateMap() {
-  // Intentionally leaked: VegaSystem instances held in function-local statics
-  // (e.g. a CLI's cached session) may outlive an ordinary function-local map,
-  // and ~VegaSystem must be able to erase its entry at any point of shutdown.
-  static auto *Map =
-      new std::map<const VegaSystem *, vega::detail::VegaSystemState>();
-  return *Map;
-}
-
 VegaSystem::VegaSystem(const BackendCorpus &Corpus, VegaOptions Options)
-    : Corpus(Corpus), Options(Options) {
+    : Corpus(Corpus), Options(Options),
+      State(std::make_unique<detail::VegaSystemState>()) {
   std::vector<std::string> AllNames;
   for (const TargetTraits &T : Corpus.targets().targets())
     AllNames.push_back(T.Name);
   Selector = std::make_unique<FeatureSelector>(Corpus.vfs(), AllNames);
 
-  auto &State = stateMap()[this];
   std::set<std::string> Training;
   for (const std::string &N : Corpus.trainingTargetNames())
     Training.insert(N);
   for (const std::string &N : AllNames)
     if (!Training.count(N))
-      State.EvalTargets.push_back(N);
+      State->EvalTargets.push_back(N);
 }
 
-VegaSystem::~VegaSystem() { stateMap().erase(this); }
+VegaSystem::~VegaSystem() = default;
 
 std::string VegaOptions::resolvedWeightCachePath() const {
   if (WeightCachePath.empty() || WeightCachePath.front() == '/')
@@ -182,11 +172,11 @@ std::string VegaOptions::resolvedWeightCachePath() const {
 }
 
 std::vector<std::string> VegaSystem::globalBoolNames() const {
-  return stateMap().at(this).GlobalBools;
+  return State->GlobalBools;
 }
 
 void VegaSystem::setGlobalBoolNames(std::vector<std::string> Names) {
-  stateMap()[this].GlobalBools = std::move(Names);
+  State->GlobalBools = std::move(Names);
 }
 
 const TemplateInfo *
@@ -243,7 +233,7 @@ double VegaSystem::buildTemplates() {
     }
     Templates.push_back(std::move(TI));
   }
-  stateMap()[this].GlobalBools = globalBoolOrder(Templates);
+  State->GlobalBools = globalBoolOrder(Templates);
   obs::MetricsRegistry::instance().addCounter("stage1.templates",
                                               Templates.size());
   return StageSpan.close();
@@ -301,7 +291,6 @@ std::vector<std::string> VegaSystem::buildInputTokens(
     const TemplateInfo &TI, const TemplateRow &Row, const std::string &Target,
     const std::optional<std::string> &AssignedPrimary,
     const std::string &CtxValue) const {
-  const auto &State = stateMap().at(this);
   std::vector<std::string> Tokens;
   Tokens.push_back(Vocab::Cls);
   Tokens.push_back(TI.FT.InterfaceName);
@@ -310,7 +299,7 @@ std::vector<std::string> VegaSystem::buildInputTokens(
 
   // Boolean target-independent properties, in the fixed global order.
   Tokens.push_back(Vocab::Bools);
-  for (const std::string &Name : State.GlobalBools) {
+  for (const std::string &Name : State->GlobalBools) {
     if (!Options.UseTargetIndependentBools) {
       Tokens.push_back(Vocab::Null);
       continue;
@@ -405,7 +394,6 @@ void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
                                        const std::string &Target,
                                        bool Implements,
                                        std::vector<TextPair> &Out) {
-  auto &State = stateMap()[this];
   std::vector<const TemplateRow *> Rows = TI.FT.rows();
 
   auto MakeDst = [&](double Confidence,
@@ -468,7 +456,7 @@ void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
           Pair.Dst = MakeDst(CS, Match->Stmt->Tokens);
           // Record the context value for this instance's children.
           for (const auto &Child : Match->Stmt->Children)
-            State.ChildCtx[Child.get()] = Candidate;
+            State->ChildCtx[Child.get()] = Candidate;
         } else {
           Pair.Dst = MakeDst(0.0, Row->Tokens);
         }
@@ -480,8 +468,8 @@ void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
     // Non-repeatable rows: one example (present or absent).
     std::string Ctx;
     if (Has) {
-      auto CtxIt = State.ChildCtx.find(InstIt->second.front().Stmt);
-      if (CtxIt != State.ChildCtx.end())
+      auto CtxIt = State->ChildCtx.find(InstIt->second.front().Stmt);
+      if (CtxIt != State->ChildCtx.end())
         Ctx = CtxIt->second;
     }
     TextPair Pair;
@@ -499,11 +487,10 @@ void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
 
 void VegaSystem::buildDataset() {
   obs::Span StageSpan("stage1.build_dataset", "stage1");
-  auto &State = stateMap()[this];
   TrainTexts.clear();
   VerifyTexts.clear();
   TrainFunctions = VerifyFunctions = 0;
-  State.ChildCtx.clear();
+  State->ChildCtx.clear();
 
   std::vector<std::string> TrainingNames = Corpus.trainingTargetNames();
   std::set<std::string> BackendTrainSet;
@@ -593,7 +580,6 @@ void VegaSystem::buildDataset() {
 }
 
 void VegaSystem::buildVocab() {
-  auto &State = stateMap()[this];
   Vocabulary = Vocab();
   auto AddAll = [&](const std::vector<TextPair> &Pairs) {
     for (const TextPair &P : Pairs) {
@@ -632,7 +618,7 @@ void VegaSystem::buildVocab() {
       if (Text.size() <= N.size() || Text.compare(0, N.size(), N) != 0)
         continue;
       std::string Suffix = Text.substr(N.size());
-      for (const std::string &E : State.EvalTargets)
+      for (const std::string &E : State->EvalTargets)
         Composites.push_back(E + Suffix);
     }
   }
@@ -682,8 +668,6 @@ TrainPair VegaSystem::toIds(const TextPair &Pair) const {
 VegaSystem::WeightCacheStatus
 VegaSystem::initModelFromCache(std::string *Detail) {
   Model = std::make_unique<CodeBE>(Vocabulary, Options.Model);
-  Model->setPrecision(Options.InferencePrecision);
-  Model->setPrefixSharing(Options.PrefixSharing);
   std::string CachePath = Options.resolvedWeightCachePath();
   if (CachePath.empty())
     return WeightCacheStatus::Disabled;
@@ -1080,18 +1064,6 @@ VegaSystem::beamCandidatesForSite(const TemplateInfo &TI,
 void VegaSystem::setJobs(int Jobs) {
   Options.Jobs = Jobs;
   Pool.reset();
-}
-
-void VegaSystem::setPrecision(Precision P) {
-  Options.InferencePrecision = P;
-  if (Model)
-    Model->setPrecision(P);
-}
-
-void VegaSystem::setPrefixSharing(bool On) {
-  Options.PrefixSharing = On;
-  if (Model)
-    Model->setPrefixSharing(On);
 }
 
 GeneratedFunction VegaSystem::generateFunction(const TemplateInfo &TI,

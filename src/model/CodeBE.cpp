@@ -7,7 +7,6 @@
 
 #include "model/CodeBE.h"
 
-#include "model/Trainer.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/RNG.h"
@@ -35,24 +34,6 @@ uint64_t CodeBEConfig::fingerprint() const {
   Mix(static_cast<uint64_t>(MaxDstLen));
   Mix(Seed);
   return H;
-}
-
-const char *vega::precisionName(Precision P) {
-  switch (P) {
-  case Precision::FP32:
-    return "fp32";
-  case Precision::INT8:
-    return "int8";
-  }
-  return "fp32";
-}
-
-std::optional<Precision> vega::parsePrecision(std::string_view Name) {
-  if (Name == "fp32")
-    return Precision::FP32;
-  if (Name == "int8")
-    return Precision::INT8;
-  return std::nullopt;
 }
 
 CodeBE::CodeBE(Vocab Vocabulary, CodeBEConfig Config)
@@ -326,33 +307,9 @@ void CodeBE::refreshCombCache() {
   CombDirty.store(false, std::memory_order_release);
 }
 
-void CodeBE::refreshQCombCache() {
-  std::lock_guard<std::mutex> Lock(CombMu);
-  if (!QCombDirty.load(std::memory_order_acquire))
-    return; // another thread already rebuilt it
-  // Quantize from freshly built fp32 combined embeddings (the same values
-  // refreshCombCache snapshots), so the int8 route never depends on the
-  // fp32 cache having been refreshed first.
-  TensorPtr Comb = combinedEmbeddings();
-  QCombData.assign(Comb->Data.size(), 0);
-  QCombScale.assign(static_cast<size_t>(Comb->Rows), 0.0f);
-  detail::quantizeRowsQ8(Comb->Data.data(), Comb->Rows, Comb->Cols,
-                         QCombData.data(), QCombScale.data());
-  QCombDirty.store(false, std::memory_order_release);
-}
-
-void CodeBE::setPrecision(Precision P) {
-  if (Prec == P)
-    return;
-  Prec = P;
-  QCombDirty.store(true, std::memory_order_release);
-}
-
 void CodeBE::prepareGenerate() {
   if (CombDirty.load(std::memory_order_acquire))
     refreshCombCache();
-  if (Prec == Precision::INT8 && QCombDirty.load(std::memory_order_acquire))
-    refreshQCombCache();
 }
 
 TensorPtr CodeBE::presenceFor(int Rows, const std::vector<int> &SrcIds) {
@@ -378,41 +335,19 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
                             const std::vector<int> &SrcIds, bool UseCombCache,
                             const TensorPtr &CachedPresence,
                             const TensorPtr &CombOverride) {
-  TensorPtr Base;
-  const bool UseQ8 = Prec == Precision::INT8 && !CombOverride &&
-                     NoGradGuard::active();
-  if (UseQ8) {
-    // Quantized route: the vocabulary-wide projection — the dominant GEMM
-    // of every decode step — runs as int8·int8→int32 against the cached
-    // quantized embedding matrix. Integer accumulation is exact, so this
-    // is bit-deterministic at any thread count; it is NOT bit-equal to
-    // the fp32 route (DESIGN.md §14). The copy head and presence tail
-    // below stay fp32.
-    if (QCombDirty.load(std::memory_order_acquire))
-      refreshQCombCache();
-    const int M = DecOut->Rows, K = DecOut->Cols;
-    const int V = static_cast<int>(QCombScale.size());
-    std::vector<int8_t> QA(static_cast<size_t>(M) * K);
-    std::vector<float> SA(static_cast<size_t>(M));
-    detail::quantizeRowsQ8(DecOut->Data.data(), M, K, QA.data(), SA.data());
-    Base = makeTensor(M, V);
-    detail::gemmNTQ8(QA.data(), SA.data(), QCombData.data(),
-                     QCombScale.data(), Base->Data.data(), M, K, V);
+  TensorPtr Comb;
+  if (CombOverride) {
+    // Training batches share one combined-embeddings node across all
+    // example tapes (the Trainer builds it once per batch).
+    Comb = CombOverride;
+  } else if (UseCombCache) {
+    if (CombDirty.load(std::memory_order_acquire))
+      refreshCombCache();
+    Comb = CombCache;
   } else {
-    TensorPtr Comb;
-    if (CombOverride) {
-      // Training batches share one combined-embeddings node across all
-      // example tapes (the Trainer builds it once per batch).
-      Comb = CombOverride;
-    } else if (UseCombCache) {
-      if (CombDirty.load(std::memory_order_acquire))
-        refreshCombCache();
-      Comb = CombCache;
-    } else {
-      Comb = combinedEmbeddings();
-    }
-    Base = matmulNT(DecOut, Comb);
+    Comb = combinedEmbeddings();
   }
+  TensorPtr Base = matmulNT(DecOut, Comb);
   // Pointer/copy head: attend the encoder memory and scatter the attention
   // mass onto the source token ids.
   float Scale = 1.0f / std::sqrt(static_cast<float>(Config.DModel));
@@ -461,19 +396,6 @@ TensorPtr CodeBE::trainLoss(const TrainPair &Pair, const TensorPtr &Comb) {
                                /*CachedPresence=*/nullptr,
                                /*CombOverride=*/Comb);
   return crossEntropy(Logits, Dst);
-}
-
-void CodeBE::train(const std::vector<TrainPair> &Data,
-                   const std::function<void(int, double)> &OnEpoch) {
-  model::TrainOptions Opts = model::TrainOptions::fromConfig(Config);
-  if (OnEpoch)
-    Opts.OnEpoch = [&OnEpoch](const model::EpochStats &Stats) {
-      OnEpoch(Stats.Epoch, Stats.MeanLoss);
-    };
-  model::Trainer Engine(*this, std::move(Opts));
-  StatusOr<model::TrainResult> Result = Engine.run(Data);
-  assert(Result.isOk() && "config-derived TrainOptions must validate");
-  (void)Result;
 }
 
 /// An immutable, refcount-shared run of decoded self-attention K/V rows.
@@ -538,7 +460,6 @@ struct CodeBE::StepScratch {
   /// Copy head: projected query, scores/attention over the source, and a
   /// vocabulary-wide mass row kept all-zero between calls.
   std::vector<float> CopyQ, CopyScores, CopyAtt, CopyRow;
-  std::vector<int8_t> QRow;      ///< the quantized decoder row (INT8)
   std::vector<float> ColLogits; ///< columnLogits output, one per step id
 
   static float *fit(std::vector<float> &B, size_t N) {
@@ -755,36 +676,16 @@ void CodeBE::columnLogits(const float *DecRow, const KVCacheState &St,
 
   const float CG = CopyGate->Data[0], SB = SrcBias->Data[0];
   const float *Presence = PresenceRow.Data.data();
-  if (Prec == Precision::INT8) {
-    // The quantized route of logitsFor, one column at a time: each column
-    // is an exact int32 dot product times the same two scales.
-    if (QCombDirty.load(std::memory_order_acquire))
-      refreshQCombCache();
-    S.QRow.resize(static_cast<size_t>(D));
-    float SA = 0.0f;
-    detail::quantizeRowsQ8(DecRow, 1, D, S.QRow.data(), &SA);
-    for (size_t K = 0; K < Ids.size(); ++K) {
-      const int J = Ids[K];
-      if (J < 0 || J >= V)
-        continue;
-      float Base = 0.0f;
-      detail::gemmNTQ8(S.QRow.data(), &SA,
-                       QCombData.data() + static_cast<size_t>(J) * D,
-                       QCombScale.data() + J, &Base, 1, D, 1);
-      Out[K] = (Base + CopyRow[J] * CG) + Presence[J] * SB;
-    }
-  } else {
-    if (CombDirty.load(std::memory_order_acquire))
-      refreshCombCache();
-    TensorPtr Comb = CombCache;
-    for (size_t K = 0; K < Ids.size(); ++K) {
-      const int J = Ids[K];
-      if (J < 0 || J >= V)
-        continue;
-      const float Base = dotChain(
-          DecRow, Comb->Data.data() + static_cast<size_t>(J) * D, D);
-      Out[K] = (Base + CopyRow[J] * CG) + Presence[J] * SB;
-    }
+  if (CombDirty.load(std::memory_order_acquire))
+    refreshCombCache();
+  TensorPtr Comb = CombCache;
+  for (size_t K = 0; K < Ids.size(); ++K) {
+    const int J = Ids[K];
+    if (J < 0 || J >= V)
+      continue;
+    const float Base =
+        dotChain(DecRow, Comb->Data.data() + static_cast<size_t>(J) * D, D);
+    Out[K] = (Base + CopyRow[J] * CG) + Presence[J] * SB;
   }
   for (int J = 0; J < Src; ++J)
     CopyRow[Input[static_cast<size_t>(J)]] = 0.0f;
@@ -903,9 +804,9 @@ bool CodeBE::decodeGreedyKV(KVCacheState &St, StepScratch &S,
     // and the vocabulary-wide logit projection — the dominant GEMM of the
     // step — can be skipped outright. decodeStep still runs, so the KV
     // cache holds exactly the rows the logits path would have produced, and
-    // the out-of-range and [EOS] break conditions mirror the argmax path:
-    // output is byte-identical with the fast path on or off.
-    if (PrefixShare && !WithProbs && StepSet && StepSet->size() == 1) {
+    // the out-of-range and [EOS] break conditions mirror the argmax path, so
+    // the output equals the FullRecompute reference byte for byte.
+    if (!WithProbs && StepSet && StepSet->size() == 1) {
       const int J = (*StepSet)[0];
       if (J < 0 || J >= static_cast<int>(Vocabulary.size()))
         return true; // the argmax would find nothing admissible
@@ -1085,12 +986,11 @@ CodeBE::generateGroup(const std::vector<GroupRequest> &Reqs, bool WithProbs) {
   if (Reqs.empty())
     return Out;
 
-  // Sharing preconditions: KV decode without probabilities, the knob on,
-  // and a group that actually coincides — identical encoder input and
-  // identical admissible sets. Anything else falls back to per-request
-  // generate(), which is the semantic baseline sharing must reproduce.
-  bool Share = PrefixShare && Mode == DecodeMode::KVCache && !WithProbs &&
-               Reqs.size() > 1;
+  // Sharing preconditions: KV decode without probabilities and a group that
+  // actually coincides — identical encoder input and identical admissible
+  // sets. Anything else falls back to per-request generate(), which is the
+  // semantic baseline sharing must reproduce.
+  bool Share = Mode == DecodeMode::KVCache && !WithProbs && Reqs.size() > 1;
   for (size_t I = 0; Share && I < Reqs.size(); ++I)
     if (!Reqs[I].Src)
       Share = false;
@@ -1416,6 +1316,5 @@ bool CodeBE::loadWeights(const std::string &Blob) {
       return false;
   }
   CombDirty = true;
-  QCombDirty = true;
   return Pos == Blob.size();
 }

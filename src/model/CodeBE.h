@@ -23,11 +23,8 @@
 #include "model/Vocab.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string_view>
 
 namespace vega {
 
@@ -36,21 +33,6 @@ class Trainer;
 } // namespace model
 
 class CodeBEProbe;
-
-/// Numeric precision of the inference-time vocabulary projection (the
-/// dominant GEMM of every decode step). FP32 is the training path and the
-/// default; INT8 quantizes the combined-embedding matrix per row (symmetric
-/// absmax scales) and accumulates in int32, so it is bit-deterministic at
-/// any thread count but NOT bit-equal to FP32 — see DESIGN.md §14 for the
-/// exact contract. Checkpoints always store fp32 weights regardless of the
-/// active precision.
-enum class Precision { FP32, INT8 };
-
-/// Canonical lowercase name ("fp32" / "int8").
-const char *precisionName(Precision P);
-
-/// Parses a canonical name; std::nullopt for anything else.
-std::optional<Precision> parsePrecision(std::string_view Name);
 
 /// Hyperparameters (paper §4.1.2 scaled down; see DESIGN.md §2).
 struct CodeBEConfig {
@@ -80,14 +62,6 @@ struct TrainPair {
 class CodeBE {
 public:
   CodeBE(Vocab Vocabulary, CodeBEConfig Config);
-
-  /// Fine-tunes on \p Data (teacher forcing, Adam, cross-entropy — §4.1.2).
-  /// \p OnEpoch, when set, receives (epoch, meanLoss) after each epoch.
-  /// Legacy convenience wrapper: builds model::TrainOptions from Config
-  /// (serial, jobs=1) and delegates to model::Trainer — use the Trainer
-  /// directly for explicit schedules, parallel training, and diagnostics.
-  void train(const std::vector<TrainPair> &Data,
-             const std::function<void(int, double)> &OnEpoch = nullptr);
 
   /// Greedy decode for \p Src. When \p Allowed is non-null (one byte per
   /// vocab id), decoding is constrained to the allowed set — the
@@ -135,9 +109,9 @@ public:
   /// divergent tail. Results are byte-identical to calling generate() per
   /// request with the same WithProbs — sharing only skips recomputation,
   /// never changes a choice. Falls back to per-request generate() whenever
-  /// sharing cannot apply (mixed Src, WithProbs, FullRecompute mode, or
-  /// prefix sharing disabled). Emits gen.prefix.hits / gen.prefix.forks
-  /// counters and the gen.prefix_reuse_tokens histogram when sharing fires.
+  /// sharing cannot apply (mixed Src or Allowed, WithProbs, or
+  /// FullRecompute mode). Emits gen.prefix.hits / gen.prefix.forks counters
+  /// and the gen.prefix_reuse_tokens histogram when sharing fires.
   std::vector<Decoded> generateGroup(const std::vector<GroupRequest> &Reqs,
                                      bool WithProbs = false);
 
@@ -172,11 +146,10 @@ public:
   /// Starts a stream for \p Src: runs the encoder, builds the
   /// cross-attention projections and the KV scratch, and leaves the stream
   /// ready for its first step. Streams always decode on the KV-cache path
-  /// (like decodeBeam), regardless of the DecodeMode knob. This is the
-  /// step-level multi-request decode entry point: the serve scheduler and
-  /// generateGroup() co-step many streams through decodeStepMany(), and
-  /// generate() itself is one stream run to completion, so solo and
-  /// co-batched decodes are the same code path and byte-identical.
+  /// (like decodeBeam), regardless of the DecodeMode knob. generateGroup()
+  /// co-steps its forked members through decodeStepMany(), and generate()
+  /// itself is one stream run to completion, so solo and group decodes are
+  /// the same code path and byte-identical.
   DecodeStream beginDecode(const std::vector<int> &Src,
                            const std::vector<uint8_t> *Allowed = nullptr,
                            const DecodePlan *Plan = nullptr,
@@ -228,24 +201,10 @@ public:
   void setDecodeMode(DecodeMode M) { Mode = M; }
   DecodeMode decodeMode() const { return Mode; }
 
-  /// Selects the inference precision (see vega::Precision). Weights are
-  /// untouched — INT8 only swaps the vocabulary-projection GEMM for the
-  /// quantized route, so switching back to FP32 restores bit-exact fp32
-  /// behaviour. Not thread-safe against in-flight generate() calls.
-  void setPrecision(Precision P);
-  Precision precision() const { return Prec; }
-
-  /// Enables/disables the decode fast paths that reuse work across plan
-  /// positions and group members (pinned-step logit skip, group-level KV
-  /// prefix sharing). On (the default) and off produce byte-identical
-  /// output; off exists as the reference path for equivalence smokes.
-  void setPrefixSharing(bool On) { PrefixShare = On; }
-  bool prefixSharing() const { return PrefixShare; }
-
   /// Readies the model for concurrent generate() calls: forces the shared
   /// inference embedding cache fresh so worker threads never race to build
   /// it. generate() is safe to call from many threads afterwards, provided
-  /// no train()/loadWeights() runs concurrently.
+  /// no training or loadWeights() runs concurrently.
   void prepareGenerate();
 
   /// Fraction of pairs whose greedy decode exactly matches Dst (the paper's
@@ -371,9 +330,6 @@ private:
                           const TensorPtr &PresenceRow);
   TensorPtr combinedEmbeddings();
   void refreshCombCache();
-  /// Rebuilds the int8 quantization of the combined embeddings (per-row
-  /// absmax scales over the same fp32 values refreshCombCache snapshots).
-  void refreshQCombCache();
   std::vector<TensorPtr> parameters() const;
   std::unique_ptr<Tensor> causalMask(int Len) const;
 
@@ -387,16 +343,8 @@ private:
   TensorPtr SrcBias; ///< learned boost for tokens present in the source
   TensorPtr CombCache; ///< no-grad combined embeddings for inference
   std::atomic<bool> CombDirty{true};
-  /// Quantized mirror of CombCache for the INT8 route: per-row int8 codes
-  /// plus one fp32 scale per vocabulary row. Rebuilt lazily under CombMu
-  /// whenever the weights change (QCombDirty), like CombCache.
-  std::vector<int8_t> QCombData;
-  std::vector<float> QCombScale;
-  std::atomic<bool> QCombDirty{true};
-  std::mutex CombMu; ///< serializes CombCache/QComb refresh across threads
+  std::mutex CombMu; ///< serializes CombCache refresh across threads
   DecodeMode Mode = DecodeMode::KVCache;
-  Precision Prec = Precision::FP32;
-  bool PrefixShare = true;
 
   /// The data-parallel training engine drives trainLoss/parameters/
   /// combinedEmbeddings directly.

@@ -7,6 +7,8 @@
 
 #include "support/ArgParse.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 using namespace vega;
@@ -23,6 +25,13 @@ void ArgParse::addOption(const std::string &Name, const std::string &ValueName,
                          const std::string &Help, std::string Default) {
   Flags[Name] = FlagDecl{Help, ValueName, std::move(Default)};
   FlagOrder.push_back(Name);
+}
+
+void ArgParse::addIntOption(const std::string &Name,
+                            const std::string &ValueName,
+                            const std::string &Help, std::string Default) {
+  addOption(Name, ValueName, Help, std::move(Default));
+  Flags[Name].Integer = true;
 }
 
 void ArgParse::addCommand(const std::string &Name, const std::string &ArgSpec,
@@ -82,6 +91,11 @@ Status ArgParse::parse(const std::vector<std::string> &Args) {
                                          "' requires a value");
         Value = Args[++I];
       }
+      if (Decl.Integer) {
+        StatusOr<int> N = parseInt(Value, "--" + Name);
+        if (!N.isOk())
+          return N.status();
+      }
       Values[Name] = Value;
       MultiValues[Name].push_back(Value);
       continue;
@@ -137,13 +151,23 @@ ArgParse::getAll(const std::string &Name) const {
 }
 
 int ArgParse::getInt(const std::string &Name, int Default) const {
-  const std::string &V = get(Name);
-  if (V.empty())
+  if (!has(Name))
     return Default;
+  // parse() already rejected a malformed addIntOption value.
+  StatusOr<int> N = parseInt(get(Name), "--" + Name);
+  return N.isOk() ? *N : Default;
+}
+
+StatusOr<int> ArgParse::parseInt(const std::string &Text,
+                                 const std::string &What) {
   char *End = nullptr;
-  long N = std::strtol(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0')
-    return Default;
+  errno = 0;
+  long long N = std::strtoll(Text.c_str(), &End, 10);
+  if (Text.empty() || End == Text.c_str() || *End != '\0')
+    return Status::invalidArgument(What + " expects an integer, got '" +
+                                   Text + "'");
+  if (errno == ERANGE || N < INT_MIN || N > INT_MAX)
+    return Status::invalidArgument(What + " is out of range: '" + Text + "'");
   return static_cast<int>(N);
 }
 

@@ -47,6 +47,11 @@ public:
   void addOption(const std::string &Name, const std::string &ValueName,
                  const std::string &Help, std::string Default = "");
 
+  /// Registers an integer value option: parse() rejects a value that is not
+  /// a whole base-10 int (see parseInt) as invalid-argument naming the flag.
+  void addIntOption(const std::string &Name, const std::string &ValueName,
+                    const std::string &Help, std::string Default = "");
+
   /// Registers a subcommand. \p ArgSpec is usage text for the positionals
   /// ("<target> [epochs]"); \p MinArgs / \p MaxArgs bound their count.
   void addCommand(const std::string &Name, const std::string &ArgSpec,
@@ -74,8 +79,15 @@ public:
   /// options like `--shard=<socket> --shard=<socket>`.
   const std::vector<std::string> &getAll(const std::string &Name) const;
 
-  /// Integer value of option \p Name; \p Default when absent or non-numeric.
+  /// Value of integer option \p Name; \p Default when absent. Register it
+  /// with addIntOption so that parse() rejects a malformed value.
   int getInt(const std::string &Name, int Default) const;
+
+  /// Parses \p Text as a whole base-10 int. Empty text, trailing junk and
+  /// values outside int range are invalid-argument naming \p What (a flag
+  /// or positional, e.g. "--jobs").
+  static StatusOr<int> parseInt(const std::string &Text,
+                                const std::string &What);
 
   /// The selected subcommand ("" when no commands are registered or none
   /// was given).
@@ -98,6 +110,7 @@ private:
     std::string Help;
     std::string ValueName; ///< empty = boolean flag
     std::string Default;
+    bool Integer = false;
   };
   struct CommandDecl {
     std::string ArgSpec, Help;

@@ -367,7 +367,9 @@ TEST(CodeBE, LearnsACopyTask) {
     Data.push_back(P);
   }
   CodeBE Model(V, C);
-  Model.train(Data);
+  ASSERT_TRUE(model::Trainer(Model, model::TrainOptions::fromConfig(C))
+                  .run(Data)
+                  .isOk());
   double EM = Model.exactMatch({Data.begin(), Data.begin() + 40});
   EXPECT_GT(EM, 0.9);
 }
@@ -400,7 +402,9 @@ TEST(CodeBE, KVCacheDecodeMatchesFullRecompute) {
     Data.push_back(P);
   }
   CodeBE Model(V, C);
-  Model.train(Data);
+  ASSERT_TRUE(model::Trainer(Model, model::TrainOptions::fromConfig(C))
+                  .run(Data)
+                  .isOk());
 
   RNG Pick(23);
   for (int Case = 0; Case < 20; ++Case) {
@@ -462,7 +466,9 @@ TEST(CodeBE, BeamWidthOneMatchesGreedyAndRanksDescend) {
     Data.push_back(P);
   }
   CodeBE Model(V, C);
-  Model.train(Data);
+  ASSERT_TRUE(model::Trainer(Model, model::TrainOptions::fromConfig(C))
+                  .run(Data)
+                  .isOk());
 
   RNG Pick(31);
   for (int Case = 0; Case < 10; ++Case) {
@@ -585,7 +591,7 @@ TEST(Autograd, GradSinkReductionIsScheduleInvariant) {
 }
 
 TEST(Trainer, JobsDoNotChangeTrainedWeights) {
-  // Full train() at jobs=1 vs jobs=4 from identical seeds must produce
+  // A full Trainer run at jobs=1 vs jobs=4 from identical seeds must produce
   // byte-identical weights — and therefore identical WGTS checksums in a
   // session checkpoint, which stores fnv1a(saveWeights()).
   Vocab V;
@@ -747,8 +753,8 @@ TEST(Trainer, InvalidOptionsSurfaceTypedStatus) {
 
 namespace {
 
-/// A small trained copy-task model shared by the quantization / prefix
-/// sharing tests (training is the expensive part; the tests only decode).
+/// A small trained copy-task model shared by the decode-route tests
+/// (training is the expensive part; the tests only decode).
 struct SharedDecodeModel {
   Vocab V;
   std::vector<std::string> Words;
@@ -777,7 +783,9 @@ struct SharedDecodeModel {
       Data.push_back(P);
     }
     Model = std::make_unique<CodeBE>(V, C);
-    Model->train(Data);
+    EXPECT_TRUE(model::Trainer(*Model, model::TrainOptions::fromConfig(C))
+                    .run(Data)
+                    .isOk());
   }
 
   static SharedDecodeModel &instance() {
@@ -788,66 +796,12 @@ struct SharedDecodeModel {
 
 } // namespace
 
-TEST(Autograd, QuantizedGemmMatchesIntegerReference) {
-  // The int8 route promises exact integer accumulation: the dequantized
-  // output must equal a naive int32 reference bit for bit, and the
-  // quantizer must round to nearest with ties away from zero.
-  {
-    float Row[4] = {0.0f, 127.0f, -127.0f, 63.5f};
-    int8_t Q[4];
-    float S;
-    detail::quantizeRowsQ8(Row, 1, 4, Q, &S);
-    EXPECT_FLOAT_EQ(S, 1.0f);
-    EXPECT_EQ(Q[0], 0);
-    EXPECT_EQ(Q[1], 127);
-    EXPECT_EQ(Q[2], -127);
-    EXPECT_EQ(Q[3], 64); // 63.5 rounds away from zero
-  }
-  {
-    // An all-zero row must produce zero scale and zero codes (and a zero
-    // output row, not NaN from 0/0).
-    float Row[3] = {0.0f, 0.0f, 0.0f};
-    int8_t Q[3];
-    float S = 1.0f;
-    detail::quantizeRowsQ8(Row, 1, 3, Q, &S);
-    EXPECT_EQ(S, 0.0f);
-    EXPECT_EQ(Q[0], 0);
-    EXPECT_EQ(Q[1], 0);
-    EXPECT_EQ(Q[2], 0);
-  }
-
-  constexpr int M = 5, K = 7, N = 9;
-  RNG Rng(53);
-  std::vector<float> A(M * K), B(N * K);
-  for (float &X : A)
-    X = static_cast<float>(Rng.nextGaussian());
-  for (float &X : B)
-    X = static_cast<float>(Rng.nextGaussian());
-  std::vector<int8_t> QA(M * K), QB(N * K);
-  std::vector<float> SA(M), SB(N);
-  detail::quantizeRowsQ8(A.data(), M, K, QA.data(), SA.data());
-  detail::quantizeRowsQ8(B.data(), N, K, QB.data(), SB.data());
-  std::vector<float> C(M * N, -1.0f);
-  detail::gemmNTQ8(QA.data(), SA.data(), QB.data(), SB.data(), C.data(), M,
-                   K, N);
-  for (int I = 0; I < M; ++I)
-    for (int J = 0; J < N; ++J) {
-      int32_t Acc = 0;
-      for (int P = 0; P < K; ++P)
-        Acc += static_cast<int32_t>(QA[I * K + P]) *
-               static_cast<int32_t>(QB[J * K + P]);
-      float Want = static_cast<float>(Acc) * SA[static_cast<size_t>(I)] *
-                   SB[static_cast<size_t>(J)];
-      EXPECT_EQ(C[static_cast<size_t>(I * N + J)], Want)
-          << "element " << I << "," << J;
-    }
-}
-
 TEST(CodeBE, PrefixSharingPreservesGreedyOutput) {
-  // The pinned-step fast path (and the CoW KV prefix machinery behind it)
-  // must be invisible in the output: sharing on and off decode the same
-  // bytes, with and without a plan, and WithProbs still returns the same
-  // probabilities.
+  // The pinned-step skip and the admissible-column logits (the work the KV
+  // decoder avoids) must be invisible in the output: the default decode
+  // and the independent FullRecompute reference choose the same tokens for
+  // the same plan — singleton-pinned, multi-id and unconstrained steps, and
+  // no plan at all — and, with WithProbs, the same probabilities exactly.
   SharedDecodeModel &M = SharedDecodeModel::instance();
   CodeBE &Model = *M.Model;
   const Vocab &V = M.V;
@@ -856,6 +810,7 @@ TEST(CodeBE, PrefixSharingPreservesGreedyOutput) {
   Plan.Steps.push_back({V.csId(20)});
   Plan.Steps.push_back({V.idOf(M.Words[4])});
   Plan.Steps.push_back({V.idOf(M.Words[1]), V.idOf(M.Words[2])});
+  Plan.Steps.push_back({});
   Plan.Steps.push_back({V.idOf(M.Words[7])});
 
   RNG Pick(59);
@@ -863,23 +818,21 @@ TEST(CodeBE, PrefixSharingPreservesGreedyOutput) {
     std::vector<int> Src = {V.clsId(), V.idOf(M.Words[Pick.nextBelow(12)]),
                             V.idOf(M.Words[Pick.nextBelow(12)])};
     for (const CodeBE::DecodePlan *P :
-         std::initializer_list<const CodeBE::DecodePlan *>{nullptr, &Plan}) {
-      Model.setPrefixSharing(false);
-      CodeBE::Decoded Off = Model.generate(Src, nullptr, P, false);
-      CodeBE::Decoded OffProbs = Model.generate(Src, nullptr, P, true);
-      Model.setPrefixSharing(true);
-      CodeBE::Decoded On = Model.generate(Src, nullptr, P, false);
-      CodeBE::Decoded OnProbs = Model.generate(Src, nullptr, P, true);
-      EXPECT_EQ(Off.Tokens, On.Tokens) << "case " << Case;
-      EXPECT_EQ(OffProbs.Tokens, OnProbs.Tokens) << "case " << Case;
-      ASSERT_EQ(OffProbs.Probs.size(), OnProbs.Probs.size())
-          << "case " << Case;
-      for (size_t I = 0; I < OffProbs.Probs.size(); ++I)
-        EXPECT_EQ(OffProbs.Probs[I], OnProbs.Probs[I])
-            << "case " << Case << " position " << I;
-    }
+         std::initializer_list<const CodeBE::DecodePlan *>{nullptr, &Plan})
+      for (bool WithProbs : {false, true}) {
+        Model.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
+        CodeBE::Decoded Want = Model.generate(Src, nullptr, P, WithProbs);
+        Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
+        CodeBE::Decoded Got = Model.generate(Src, nullptr, P, WithProbs);
+        EXPECT_EQ(Got.Tokens, Want.Tokens)
+            << "case " << Case << " plan " << (P != nullptr) << " probs "
+            << WithProbs;
+        ASSERT_EQ(Got.Probs.size(), Want.Probs.size()) << "case " << Case;
+        for (size_t I = 0; I < Want.Probs.size(); ++I)
+          EXPECT_EQ(Got.Probs[I], Want.Probs[I])
+              << "case " << Case << " position " << I;
+      }
   }
-  Model.setPrefixSharing(true);
 }
 
 TEST(CodeBE, GenerateGroupMatchesPerRequestGenerate) {
@@ -909,17 +862,13 @@ TEST(CodeBE, GenerateGroupMatchesPerRequestGenerate) {
   std::vector<CodeBE::GroupRequest> Reqs = {
       {&Src, nullptr, &P1}, {&Src, nullptr, &P2}, {&Src, nullptr, &P3}};
 
-  Model.setPrefixSharing(true);
   std::vector<CodeBE::Decoded> Group = Model.generateGroup(Reqs);
   ASSERT_EQ(Group.size(), Reqs.size());
-
-  Model.setPrefixSharing(false);
   for (size_t I = 0; I < Reqs.size(); ++I) {
     CodeBE::Decoded Solo =
         Model.generate(*Reqs[I].Src, Reqs[I].Allowed, Reqs[I].Plan, false);
     EXPECT_EQ(Group[I].Tokens, Solo.Tokens) << "member " << I;
   }
-  Model.setPrefixSharing(true);
 
   // Identical plans across the group: everyone gets the shared result.
   std::vector<CodeBE::GroupRequest> Same(4,
@@ -943,8 +892,8 @@ TEST(CodeBE, GenerateGroupMatchesPerRequestGenerate) {
 }
 
 TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
-  // Four threads decode the same sources concurrently with sharing on;
-  // every result must match the serial decode. A mutable shared prefix
+  // Four threads decode the same sources concurrently; every result must
+  // match the serial decode. A mutable shared prefix
   // would corrupt one thread's KV rows with another's tail.
   SharedDecodeModel &M = SharedDecodeModel::instance();
   CodeBE &Model = *M.Model;
@@ -961,7 +910,6 @@ TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
   for (int I = 0; I < 5; ++I)
     Plan.Steps.push_back({V.idOf(M.Words[static_cast<size_t>(I * 2)])});
 
-  Model.setPrefixSharing(true);
   std::vector<std::vector<int>> Want;
   for (const std::vector<int> &S : Srcs)
     Want.push_back(Model.generate(S, nullptr, &Plan, false).Tokens);
@@ -973,39 +921,6 @@ TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
   });
   for (size_t I = 0; I < Srcs.size(); ++I)
     EXPECT_EQ(Got[I], Want[I]) << "lane " << I;
-}
-
-TEST(CodeBE, Int8DecodeIsDeterministicAcrossModes) {
-  // int8 decode is a different numeric contract from fp32, but it must be
-  // self-consistent: repeated calls bit-identical, and the KV-cached
-  // decoder must match full recomputation exactly under int8 as well.
-  SharedDecodeModel &M = SharedDecodeModel::instance();
-  CodeBE &Model = *M.Model;
-  const Vocab &V = M.V;
-
-  Model.setPrecision(Precision::INT8);
-  Model.setPrefixSharing(false);
-  RNG Pick(67);
-  for (int Case = 0; Case < 8; ++Case) {
-    std::vector<int> Src = {V.clsId(), V.idOf(M.Words[Pick.nextBelow(12)]),
-                            V.idOf(M.Words[Pick.nextBelow(12)])};
-    Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
-    CodeBE::Decoded KV1 = Model.generate(Src);
-    CodeBE::Decoded KV2 = Model.generate(Src);
-    EXPECT_EQ(KV1.Tokens, KV2.Tokens) << "case " << Case;
-    ASSERT_EQ(KV1.Probs.size(), KV2.Probs.size()) << "case " << Case;
-    for (size_t I = 0; I < KV1.Probs.size(); ++I)
-      EXPECT_EQ(KV1.Probs[I], KV2.Probs[I]) << "case " << Case;
-    Model.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
-    CodeBE::Decoded Full = Model.generate(Src);
-    Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
-    EXPECT_EQ(Full.Tokens, KV1.Tokens) << "case " << Case;
-    ASSERT_EQ(Full.Probs.size(), KV1.Probs.size()) << "case " << Case;
-    for (size_t I = 0; I < Full.Probs.size(); ++I)
-      EXPECT_EQ(Full.Probs[I], KV1.Probs[I]) << "case " << Case;
-  }
-  Model.setPrecision(Precision::FP32);
-  Model.setPrefixSharing(true);
 }
 
 TEST(CodeBE, DecodeStepManyMatchesSoloWithMidFlightJoin) {
@@ -1068,10 +983,10 @@ public:
 TEST(CodeBE, ColumnLogitsMatchFullLogitsRow) {
   // Constrained greedy steps compute logits only at the step's admissible
   // ids. Each value must equal the same column of the full logitsFor row
-  // bit for bit under both precisions: sources with repeated ids (the
-  // copy head accumulates their attention mass in source order), ids out
-  // of the vocabulary (skipped by both routes), and decodes under plan
-  // biases, which must choose the same tokens as the full-row reference.
+  // bit for bit: sources with repeated ids (the copy head accumulates their
+  // attention mass in source order), ids out of the vocabulary (skipped by
+  // both routes), and decodes under plan biases, which must choose the same
+  // tokens as the full-row reference.
   SharedDecodeModel &M = SharedDecodeModel::instance();
   CodeBE &Model = *M.Model;
   const Vocab &V = M.V;
@@ -1084,44 +999,39 @@ TEST(CodeBE, ColumnLogitsMatchFullLogitsRow) {
       {V.clsId(), W(9), W(9), W(9), W(9), W(9), W(9), W(9), W(4)}};
   std::vector<int> Ids = {W(3), W(7), -1, V.eosId(), W(3), Vocab,
                           V.csId(20), W(11), Vocab + 5, W(1)};
-  for (Precision P : {Precision::FP32, Precision::INT8}) {
-    Model.setPrecision(P);
-    for (size_t SI = 0; SI < Srcs.size(); ++SI)
-      for (const std::vector<int> &Prefix :
-           {std::vector<int>{}, std::vector<int>{V.csId(20)},
-            std::vector<int>{V.csId(20), W(3), W(7)}}) {
-        std::vector<float> Cols =
-            CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, true);
-        std::vector<float> Full =
-            CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, false);
-        for (size_t K = 0; K < Ids.size(); ++K) {
-          if (Ids[K] < 0 || Ids[K] >= Vocab)
-            continue;
-          EXPECT_EQ(std::memcmp(&Cols[K], &Full[K], sizeof(float)), 0)
-              << precisionName(P) << " source " << SI << " prefix "
-              << Prefix.size() << " id " << Ids[K] << ": " << Cols[K]
-              << " vs " << Full[K];
-        }
+  for (size_t SI = 0; SI < Srcs.size(); ++SI)
+    for (const std::vector<int> &Prefix :
+         {std::vector<int>{}, std::vector<int>{V.csId(20)},
+          std::vector<int>{V.csId(20), W(3), W(7)}}) {
+      std::vector<float> Cols =
+          CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, true);
+      std::vector<float> Full =
+          CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, false);
+      for (size_t K = 0; K < Ids.size(); ++K) {
+        if (Ids[K] < 0 || Ids[K] >= Vocab)
+          continue;
+        EXPECT_EQ(std::memcmp(&Cols[K], &Full[K], sizeof(float)), 0)
+            << "source " << SI << " prefix " << Prefix.size() << " id "
+            << Ids[K] << ": " << Cols[K] << " vs " << Full[K];
       }
-
-    // End to end: the KV decoder (column route on constrained steps) and
-    // full recomputation (full rows) choose identically under biases that
-    // reorder the admissible set.
-    CodeBE::DecodePlan Plan;
-    Plan.Steps = {{V.csId(20), V.csId(0), -3},
-                  {W(3), W(7), W(1), Vocab + 1},
-                  {W(7), W(3), V.eosId()},
-                  {V.eosId(), W(9)}};
-    Plan.Bias = {{},
-                 {{W(7), 0.75f}, {W(1), -0.5f}},
-                 {{V.eosId(), -2.0f}, {W(3), 0.25f}}};
-    for (const std::vector<int> &Src : Srcs) {
-      Model.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
-      CodeBE::Decoded Want = Model.generate(Src, nullptr, &Plan, false);
-      Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
-      CodeBE::Decoded Got = Model.generate(Src, nullptr, &Plan, false);
-      EXPECT_EQ(Got.Tokens, Want.Tokens) << precisionName(P);
     }
+
+  // End to end: the KV decoder (column route on constrained steps) and full
+  // recomputation (full rows) choose identically under biases that reorder
+  // the admissible set.
+  CodeBE::DecodePlan Plan;
+  Plan.Steps = {{V.csId(20), V.csId(0), -3},
+                {W(3), W(7), W(1), Vocab + 1},
+                {W(7), W(3), V.eosId()},
+                {V.eosId(), W(9)}};
+  Plan.Bias = {{},
+               {{W(7), 0.75f}, {W(1), -0.5f}},
+               {{V.eosId(), -2.0f}, {W(3), 0.25f}}};
+  for (const std::vector<int> &Src : Srcs) {
+    Model.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
+    CodeBE::Decoded Want = Model.generate(Src, nullptr, &Plan, false);
+    Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
+    CodeBE::Decoded Got = Model.generate(Src, nullptr, &Plan, false);
+    EXPECT_EQ(Got.Tokens, Want.Tokens);
   }
-  Model.setPrecision(Precision::FP32);
 }

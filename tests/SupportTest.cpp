@@ -435,7 +435,7 @@ TEST(BinaryIO, Fnv1aIsStableAndOrderSensitive) {
 namespace {
 ArgParse cliParser() {
   ArgParse P("tool", "test tool");
-  P.addOption("jobs", "N", "lanes");
+  P.addIntOption("jobs", "N", "lanes");
   P.addOption("session", "file", "artifact");
   P.addFlag("json", "json output");
   P.addCommand("generate", "<target> [epochs]", "emit", 1, 2);
@@ -473,6 +473,31 @@ TEST(ArgParse, ArityAndUnknownsAreInvalidArgument) {
             StatusCode::InvalidArgument); // unknown flag
   EXPECT_EQ(cliParser().parse({"frobnicate"}).code(),
             StatusCode::InvalidArgument); // unknown command
+}
+
+TEST(ArgParse, MalformedIntegersAreInvalidArgumentNamingTheFlag) {
+  for (const char *Bad :
+       {"--jobs=abc", "--jobs=4x", "--jobs=", "--jobs=99999999999",
+        "--jobs=-99999999999", "--jobs=1.5"}) {
+    Status St = cliParser().parse({Bad, "targets"});
+    EXPECT_EQ(St.code(), StatusCode::InvalidArgument) << Bad;
+    EXPECT_NE(St.toString().find("--jobs"), std::string::npos)
+        << Bad << ": " << St.toString();
+  }
+  ArgParse P = cliParser();
+  ASSERT_TRUE(P.parse({"--jobs", "-2147483648", "targets"}).isOk());
+  EXPECT_EQ(P.getInt("jobs", 0), -2147483648LL);
+  ASSERT_TRUE(P.parse({"--jobs=2147483647", "targets"}).isOk());
+  EXPECT_EQ(P.getInt("jobs", 0), 2147483647);
+
+  // Positionals go through the same parser, named by the caller.
+  EXPECT_EQ(*ArgParse::parseInt("12", "epochs"), 12);
+  for (const char *Bad : {"abc", "3 epochs", "", "4294967296"}) {
+    StatusOr<int> N = ArgParse::parseInt(Bad, "epochs");
+    ASSERT_FALSE(N.isOk()) << Bad;
+    EXPECT_EQ(N.status().code(), StatusCode::InvalidArgument) << Bad;
+    EXPECT_NE(N.status().toString().find("epochs"), std::string::npos) << Bad;
+  }
 }
 
 TEST(ArgParse, PassthroughCollectsUnknownFlags) {

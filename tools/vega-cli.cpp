@@ -76,8 +76,6 @@ struct CliOptions {
   int TrainJobs = 0;
   bool JsonOut = false;
   std::string SessionPath;
-  Precision Prec = Precision::FP32;
-  bool PrefixSharing = true;
   eval::OracleKind Oracle = eval::OracleKind::Text;
 };
 CliOptions Cli;
@@ -237,10 +235,6 @@ StatusOr<VegaSession *> session(int Epochs) {
   }
   if (Cli.Jobs > 0)
     S->setJobs(Cli.Jobs);
-  // Runtime decode knobs apply identically to loaded and built sessions
-  // (training always runs fp32; these only shape Stage-3 inference).
-  S->setPrecision(Cli.Prec);
-  S->setPrefixSharing(Cli.PrefixSharing);
   return S.get();
 }
 
@@ -528,11 +522,29 @@ int cmdForkflow(const std::string &Target) {
   return 0;
 }
 
-int epochsArg(const std::vector<std::string> &Args, size_t Index,
-              int Default) {
+/// The optional [epochs] positional at \p Index (\p Default when absent).
+StatusOr<int> epochsArg(const std::vector<std::string> &Args, size_t Index,
+                        int Default) {
   if (Index >= Args.size())
     return Default;
-  return std::atoi(Args[Index].c_str());
+  return ArgParse::parseInt(Args[Index], "epochs");
+}
+
+/// Parses a whole floating-point or unsigned option value; invalid-argument
+/// naming --\p Flag for empty text, trailing junk or overflow.
+template <typename T, typename Conv>
+StatusOr<T> numberArg(const ArgParse &Args, const char *Flag, T Default,
+                      Conv Convert) {
+  if (!Args.has(Flag))
+    return Default;
+  const std::string &Text = Args.get(Flag);
+  char *End = nullptr;
+  errno = 0;
+  T V = Convert(Text.c_str(), &End);
+  if (Text.empty() || End == Text.c_str() || *End != '\0' || errno == ERANGE)
+    return Status::invalidArgument(std::string("--") + Flag +
+                                   " expects a number, got '" + Text + "'");
+  return V;
 }
 
 /// One JSON-RPC round trip against a vega-serve AF_UNIX socket: sends
@@ -622,39 +634,35 @@ int cmdStats(const std::string &SocketPath) {
 
 int main(int argc, char **argv) {
   ArgParse Args("vega-cli", "the VEGA reproduction command-line driver");
-  Args.addOption("jobs", "N",
-                 "Stage-3 generation lanes (default: VEGA_JOBS, else "
-                 "hardware concurrency); output is identical for every N");
-  Args.addOption("train-jobs", "N",
-                 "Stage-2 training lanes (default: --jobs, then VEGA_JOBS, "
-                 "then hardware concurrency); weights are identical for "
-                 "every N");
-  Args.addOption("epochs", "N", "train: epochs (default 8)");
-  Args.addOption("batch-size", "N", "train: minibatch size (default 8)");
+  Args.addIntOption("jobs", "N",
+                    "Stage-3 generation lanes (default: VEGA_JOBS, else "
+                    "hardware concurrency); output is identical for every N");
+  Args.addIntOption("train-jobs", "N",
+                    "Stage-2 training lanes (default: --jobs, then VEGA_JOBS, "
+                    "then hardware concurrency); weights are identical for "
+                    "every N");
+  Args.addIntOption("epochs", "N", "train: epochs (default 8)");
+  Args.addIntOption("batch-size", "N", "train: minibatch size (default 8)");
   Args.addOption("lr", "X", "train: Adam learning rate (default 1e-3)");
   Args.addOption("seed", "N",
                  "train: weight-init & shuffle seed (default 42)");
   Args.addOption("session", "file.vega",
                  "load (generate/evaluate/inspect) or write (build) a "
                  "session artifact");
-  Args.addOption("precision", "fp32|int8",
-                 "inference precision of the decode logit GEMM (default "
-                 "fp32; output is byte-deterministic per precision)");
-  Args.addOption("prefix-sharing", "on|off",
-                 "decode fast paths reusing shared KV prefixes (default on; "
-                 "byte-identical either way)");
   Args.addFlag("json", "emit generate/evaluate/repair/inspect results as JSON");
   Args.addOption("oracle", "text|differential|both",
                  "evaluate/repair: scoring oracle — text (curated regression "
                  "environments, default), differential (seeded randomized "
                  "side-by-side execution), or both (text verdicts with a "
                  "differential divergence census)");
-  Args.addOption("beam", "N", "repair: ranked candidates per site (default 4)");
-  Args.addOption("rounds", "N", "repair: fixed-point round cap (default 2)");
-  Args.addOption("generations", "N",
-                 "flywheel: fine-tune generations to run (default 3)");
-  Args.addOption("ft-epochs", "N",
-                 "flywheel: epochs per fine-tuning round (default 2)");
+  Args.addIntOption("beam", "N",
+                    "repair: ranked candidates per site (default 4)");
+  Args.addIntOption("rounds", "N",
+                    "repair: fixed-point round cap (default 2)");
+  Args.addIntOption("generations", "N",
+                    "flywheel: fine-tune generations to run (default 3)");
+  Args.addIntOption("ft-epochs", "N",
+                    "flywheel: epochs per fine-tuning round (default 2)");
   Args.addOption("harvest-negatives", "on|off",
                  "flywheel: harvest refuted high-confidence candidates as "
                  "down-weighted hard negatives (default on)");
@@ -712,21 +720,6 @@ int main(int argc, char **argv) {
   Cli.TrainJobs = Args.getInt("train-jobs", 0);
   Cli.JsonOut = Args.has("json");
   Cli.SessionPath = Args.get("session");
-  if (Args.has("precision")) {
-    std::optional<Precision> P = parsePrecision(Args.get("precision"));
-    if (!P)
-      return fail(Status::invalidArgument("unknown --precision '" +
-                                          Args.get("precision") +
-                                          "' (expected fp32 or int8)"));
-    Cli.Prec = *P;
-  }
-  if (Args.has("prefix-sharing")) {
-    const std::string &V = Args.get("prefix-sharing");
-    if (V != "on" && V != "off")
-      return fail(Status::invalidArgument("unknown --prefix-sharing '" + V +
-                                          "' (expected on or off)"));
-    Cli.PrefixSharing = V == "on";
-  }
   if (Args.has("oracle")) {
     std::optional<eval::OracleKind> Kind =
         eval::parseOracleKind(Args.get("oracle"));
@@ -754,6 +747,22 @@ int main(int argc, char **argv) {
 
   const std::string &Cmd = Args.command();
   const std::vector<std::string> &Pos = Args.positionals();
+  // Numeric values are checked before any command runs, so a malformed one
+  // is exit 2 naming its flag, never a silent default or wrapped value.
+  const bool TakesEpochs = Cmd == "build" || Cmd == "generate" ||
+                           Cmd == "evaluate" || Cmd == "repair";
+  const StatusOr<int> Epochs =
+      TakesEpochs ? epochsArg(Pos, Cmd == "build" ? 0 : 1, 8) : 8;
+  const StatusOr<double> LearningRate = numberArg<double>(
+      Args, "lr", 1e-3,
+      [](const char *S, char **E) { return std::strtod(S, E); });
+  const StatusOr<unsigned long long> Seed = numberArg<unsigned long long>(
+      Args, "seed", 42,
+      [](const char *S, char **E) { return std::strtoull(S, E, 10); });
+  for (const Status *St : {&Epochs.status(), &LearningRate.status(),
+                           &Seed.status()})
+    if (!St->isOk())
+      return fail(*St);
   int Rc = 2;
   if (Cmd == "targets")
     Rc = cmdTargets();
@@ -768,25 +777,18 @@ int main(int argc, char **argv) {
   else if (Cmd == "harvest")
     Rc = cmdHarvest(Pos[0], Pos[1]);
   else if (Cmd == "build")
-    Rc = cmdBuild(epochsArg(Pos, 0, 8));
-  else if (Cmd == "train") {
-    double LearningRate = 1e-3;
-    if (Args.has("lr"))
-      LearningRate = std::strtod(Args.get("lr").c_str(), nullptr);
-    unsigned long long Seed = 42;
-    if (Args.has("seed"))
-      Seed = std::strtoull(Args.get("seed").c_str(), nullptr, 10);
+    Rc = cmdBuild(*Epochs);
+  else if (Cmd == "train")
     Rc = cmdTrain(Args.getInt("epochs", 8), Args.getInt("batch-size", 8),
-                  LearningRate, Seed);
-  }
+                  *LearningRate, *Seed);
   else if (Cmd == "inspect")
     Rc = cmdInspect();
   else if (Cmd == "generate")
-    Rc = cmdGenerate(Pos[0], epochsArg(Pos, 1, 8));
+    Rc = cmdGenerate(Pos[0], *Epochs);
   else if (Cmd == "evaluate")
-    Rc = cmdEvaluate(Pos[0], epochsArg(Pos, 1, 8));
+    Rc = cmdEvaluate(Pos[0], *Epochs);
   else if (Cmd == "repair")
-    Rc = cmdRepair(Pos[0], epochsArg(Pos, 1, 8), Args.getInt("beam", 4),
+    Rc = cmdRepair(Pos[0], *Epochs, Args.getInt("beam", 4),
                    Args.getInt("rounds", 2));
   else if (Cmd == "flywheel") {
     flywheel::FlywheelOptions FOpts;
@@ -798,7 +800,7 @@ int main(int argc, char **argv) {
     FOpts.OutDir = Args.get("out-dir");
     FOpts.Verbose = true;
     if (Args.has("seed"))
-      FOpts.Seed = std::strtoull(Args.get("seed").c_str(), nullptr, 10);
+      FOpts.Seed = *Seed;
     if (Args.has("harvest-negatives")) {
       const std::string &V = Args.get("harvest-negatives");
       if (V != "on" && V != "off")
