@@ -15,6 +15,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 
 using namespace vega;
@@ -300,17 +301,18 @@ void CodeBE::refreshCombCache() {
   std::lock_guard<std::mutex> Lock(CombMu);
   if (!CombDirty.load(std::memory_order_acquire))
     return; // another thread already rebuilt it
-  TensorPtr Comb = combinedEmbeddings();
-  TensorPtr Fresh = makeTensor(Comb->Rows, Comb->Cols, false);
-  Fresh->Data = Comb->Data;
-  CombCache = std::move(Fresh);
+  NoGradGuard Guard;
+  CombT = transposed(*combinedEmbeddings());
   CombDirty.store(false, std::memory_order_release);
 }
 
-void CodeBE::prepareGenerate() {
+TensorPtr CodeBE::combT() {
   if (CombDirty.load(std::memory_order_acquire))
     refreshCombCache();
+  return CombT;
 }
+
+void CodeBE::prepareGenerate() { combT(); }
 
 TensorPtr CodeBE::presenceFor(int Rows, const std::vector<int> &SrcIds) {
   // Source-presence bias: a learned uniform boost for every distinct token
@@ -335,19 +337,20 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
                             const std::vector<int> &SrcIds, bool UseCombCache,
                             const TensorPtr &CachedPresence,
                             const TensorPtr &CombOverride) {
-  TensorPtr Comb;
-  if (CombOverride) {
+  TensorPtr Base;
+  if (UseCombCache) {
+    // gemmDense against the transposed cache is bit-identical to
+    // matmulNT(DecOut, Comb); inference records no tape.
+    assert(NoGradGuard::active() && "the embedding cache has no gradient");
+    TensorPtr CT = combT();
+    Base = makeTensor(DecOut->Rows, CT->Cols);
+    detail::gemmDense(DecOut->Data.data(), CT->Data.data(), Base->Data.data(),
+                      DecOut->Rows, CT->Rows, CT->Cols);
+  } else {
     // Training batches share one combined-embeddings node across all
     // example tapes (the Trainer builds it once per batch).
-    Comb = CombOverride;
-  } else if (UseCombCache) {
-    if (CombDirty.load(std::memory_order_acquire))
-      refreshCombCache();
-    Comb = CombCache;
-  } else {
-    Comb = combinedEmbeddings();
+    Base = matmulNT(DecOut, CombOverride ? CombOverride : combinedEmbeddings());
   }
-  TensorPtr Base = matmulNT(DecOut, Comb);
   // Pointer/copy head: attend the encoder memory and scatter the attention
   // mass onto the source token ids.
   float Scale = 1.0f / std::sqrt(static_cast<float>(Config.DModel));
@@ -362,7 +365,7 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
           : presenceFor(DecOut->Rows, SrcIds);
   if (NoGradGuard::active()) {
     // Inference fast path: the three vocabulary-wide tails fuse into one
-    // in-place sweep over Base (fresh from matmulNT, so mutation is safe
+    // in-place sweep over Base (a fresh GEMM result, so mutation is safe
     // with no tape). Each element performs the identical float operations
     // in the identical order as the add/scaleByScalar chain below, so the
     // logits are bit-for-bit the same.
@@ -461,11 +464,19 @@ struct CodeBE::StepScratch {
   /// vocabulary-wide mass row kept all-zero between calls.
   std::vector<float> CopyQ, CopyScores, CopyAtt, CopyRow;
   std::vector<float> ColLogits; ///< columnLogits output, one per step id
+  std::vector<float> DecRows;   ///< beam: one decoder row per live hypothesis
+  std::vector<float> Logits;    ///< rowLogits output, rows × vocabulary
 
   static float *fit(std::vector<float> &B, size_t N) {
     if (B.size() < N)
       B.resize(N);
     return B.data();
+  }
+
+  /// Returns CopyRow to all-zero after copyMass() scattered \p Input.
+  void clearCopyRow(const std::vector<int> &Input) {
+    for (int Id : Input)
+      CopyRow[static_cast<size_t>(Id)] = 0.0f;
   }
 };
 
@@ -647,6 +658,46 @@ const float *CodeBE::decodeStep(KVCacheState &St, StepScratch &S,
   return X;
 }
 
+const float *CodeBE::copyMass(const float *DecRow, const KVCacheState &St,
+                              const std::vector<int> &Input, StepScratch &S) {
+  const int D = Config.DModel;
+  const int Src = St.Memory->Rows;
+  float *CopyQ = StepScratch::fit(S.CopyQ, D);
+  float *CScores = StepScratch::fit(S.CopyScores, Src);
+  float *CAtt = StepScratch::fit(S.CopyAtt, Src);
+  if (S.CopyRow.size() != Vocabulary.size())
+    S.CopyRow.assign(Vocabulary.size(), 0.0f);
+  float *CopyRow = S.CopyRow.data();
+  linearRow(DecRow, CopyProj.W, CopyProj.B, CopyQ);
+  detail::gemmDense(CopyQ, St.MemoryT->Data.data(), CScores, 1, D, Src);
+  const float Scale = 1.0f / std::sqrt(static_cast<float>(D));
+  for (int J = 0; J < Src; ++J)
+    CScores[J] = CScores[J] * Scale;
+  detail::softmaxRow(CScores, nullptr, CAtt, Src);
+  for (int J = 0; J < Src; ++J)
+    CopyRow[Input[static_cast<size_t>(J)]] += CAtt[J];
+  return CopyRow;
+}
+
+void CodeBE::rowLogits(const float *DecRows, int M, const KVCacheState &St,
+                       const std::vector<int> &Input,
+                       const Tensor &PresenceRow, StepScratch &S, float *Out) {
+  const int D = Config.DModel;
+  const int V = static_cast<int>(Vocabulary.size());
+  TensorPtr CT = combT();
+  detail::gemmDense(DecRows, CT->Data.data(), Out, M, D, V);
+  const float CG = CopyGate->Data[0], SB = SrcBias->Data[0];
+  const float *Presence = PresenceRow.Data.data();
+  for (int I = 0; I < M; ++I) {
+    const float *CopyRow =
+        copyMass(DecRows + static_cast<size_t>(I) * D, St, Input, S);
+    float *Row = Out + static_cast<size_t>(I) * V;
+    for (int J = 0; J < V; ++J)
+      Row[J] = (Row[J] + CopyRow[J] * CG) + Presence[J] * SB;
+    S.clearCopyRow(Input);
+  }
+}
+
 void CodeBE::columnLogits(const float *DecRow, const KVCacheState &St,
                           const std::vector<int> &Input,
                           const Tensor &PresenceRow,
@@ -654,47 +705,27 @@ void CodeBE::columnLogits(const float *DecRow, const KVCacheState &St,
                           float *Out) {
   const int D = Config.DModel;
   const int V = static_cast<int>(Vocabulary.size());
-  const int Src = St.Memory->Rows;
-  // Copy head, as in logitsFor: scaled scores against the encoder memory,
-  // a softmax over the source, and the attention mass scattered onto the
-  // source ids in ascending source order (repeated ids accumulate exactly
-  // as copyScatter does).
-  float *CopyQ = StepScratch::fit(S.CopyQ, D);
-  float *CScores = StepScratch::fit(S.CopyScores, Src);
-  float *CAtt = StepScratch::fit(S.CopyAtt, Src);
-  if (S.CopyRow.size() != static_cast<size_t>(V))
-    S.CopyRow.assign(static_cast<size_t>(V), 0.0f);
-  float *CopyRow = S.CopyRow.data();
-  linearRow(DecRow, CopyProj.W, CopyProj.B, CopyQ);
-  detail::gemmDense(CopyQ, St.MemoryT->Data.data(), CScores, 1, D, Src);
-  const float Scale = 1.0f / std::sqrt(static_cast<float>(Config.DModel));
-  for (int J = 0; J < Src; ++J)
-    CScores[J] = CScores[J] * Scale;
-  detail::softmaxRow(CScores, nullptr, CAtt, Src);
-  for (int J = 0; J < Src; ++J)
-    CopyRow[Input[static_cast<size_t>(J)]] += CAtt[J];
-
+  const float *CopyRow = copyMass(DecRow, St, Input, S);
   const float CG = CopyGate->Data[0], SB = SrcBias->Data[0];
   const float *Presence = PresenceRow.Data.data();
-  if (CombDirty.load(std::memory_order_acquire))
-    refreshCombCache();
-  TensorPtr Comb = CombCache;
+  TensorPtr CT = combT();
   for (size_t K = 0; K < Ids.size(); ++K) {
     const int J = Ids[K];
     if (J < 0 || J >= V)
       continue;
-    const float Base =
-        dotChain(DecRow, Comb->Data.data() + static_cast<size_t>(J) * D, D);
+    const float *Col = CT->Data.data() + J;
+    float Base = 0.0f;
+    for (int P = 0; P < D; ++P)
+      Base += DecRow[P] * Col[static_cast<size_t>(P) * V];
     Out[K] = (Base + CopyRow[J] * CG) + Presence[J] * SB;
   }
-  for (int J = 0; J < Src; ++J)
-    CopyRow[Input[static_cast<size_t>(J)]] = 0.0f;
+  S.clearCopyRow(Input);
 }
 
-std::vector<float> CodeBE::planStepLogits(const std::vector<int> &Src,
-                                          const std::vector<int> &Prefix,
-                                          const std::vector<int> &Ids,
-                                          bool Columns) {
+CodeBE::RouteLogits CodeBE::routeLogits(const std::vector<int> &Src,
+                                       const std::vector<int> &DstIn,
+                                       int RowsPerCall,
+                                       const std::vector<int> &Ids) {
   NoGradGuard Guard;
   std::vector<int> Input = Src;
   if (static_cast<int>(Input.size()) > Config.MaxSrcLen)
@@ -703,32 +734,34 @@ std::vector<float> CodeBE::planStepLogits(const std::vector<int> &Src,
   initCross(St, runEncoder(Input));
   StepScratch S;
   TensorPtr PresenceRow = presenceFor(1, Input);
-  const float *Row = nullptr;
-  int Prev = Vocabulary.e2dId();
-  for (size_t I = 0; I <= Prefix.size(); ++I) {
-    Row = decodeStep(St, S, Prev);
-    if (I < Prefix.size())
-      Prev = Prefix[I];
+  const size_t D = static_cast<size_t>(Config.DModel);
+  const size_t V = Vocabulary.size(), T = DstIn.size();
+  RouteLogits Out;
+  Out.Cols.assign(T * Ids.size(), std::numeric_limits<float>::quiet_NaN());
+  std::vector<float> DecRows(T * D);
+  for (size_t I = 0; I < T; ++I) {
+    const float *Row = decodeStep(St, S, DstIn[I]);
+    std::copy(Row, Row + D, DecRows.data() + I * D);
+    columnLogits(Row, St, Input, *PresenceRow, Ids, S,
+                 Out.Cols.data() + I * Ids.size());
+    TensorPtr Cached = logitsFor(rowTensor(Row, Config.DModel), St.Memory,
+                                 Input, /*UseCombCache=*/true, PresenceRow);
+    Out.CachedRows.insert(Out.CachedRows.end(), Cached->Data.begin(),
+                          Cached->Data.end());
   }
-  std::vector<float> Out(Ids.size(), 0.0f);
-  if (Columns) {
-    columnLogits(Row, St, Input, *PresenceRow, Ids, S, Out.data());
-    return Out;
-  }
-  TensorPtr Logits = logitsFor(rowTensor(Row, Config.DModel), St.Memory,
-                               Input, /*UseCombCache=*/true, PresenceRow);
-  for (size_t K = 0; K < Ids.size(); ++K)
-    if (Ids[K] >= 0 && Ids[K] < Logits->Cols)
-      Out[K] = Logits->at(0, Ids[K]);
+  Out.Rows.assign(T * V, 0.0f);
+  const size_t Step = static_cast<size_t>(std::max(RowsPerCall, 1));
+  for (size_t I = 0; I < T; I += Step)
+    rowLogits(DecRows.data() + I * D, static_cast<int>(std::min(Step, T - I)),
+              St, Input, *PresenceRow, S, Out.Rows.data() + I * V);
   return Out;
 }
 
-int CodeBE::chooseGreedy(const TensorPtr &Logits,
+int CodeBE::chooseGreedy(const float *Row, int Cols,
                          const std::vector<uint8_t> *Allowed,
                          const DecodePlan *Plan, int Step, bool WithProbs,
                          double &Prob) const {
-  // Greedy choice over the last row, restricted to the admissible set.
-  const int Last = Logits->Rows - 1;
+  // Greedy choice over the row, restricted to the admissible set.
   const std::vector<int> *StepSet =
       Plan && !Plan->Steps[static_cast<size_t>(Step)].empty()
           ? &Plan->Steps[static_cast<size_t>(Step)]
@@ -737,8 +770,8 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
   float BestV = -1e30f;
   if (StepSet) {
     Best = argmaxPlanStep(
-        *StepSet, planBias(Plan, Step), Logits->Cols,
-        [&](size_t K) { return Logits->at(Last, (*StepSet)[K]); }, BestV);
+        *StepSet, planBias(Plan, Step), Cols,
+        [&](size_t K) { return Row[(*StepSet)[K]]; }, BestV);
   } else {
     auto IsAllowed = [&](int Id) {
       if (!Allowed)
@@ -748,11 +781,11 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
       return static_cast<size_t>(Id) < Allowed->size() &&
              (*Allowed)[static_cast<size_t>(Id)] != 0;
     };
-    for (int J = 0; J < Logits->Cols; ++J) {
+    for (int J = 0; J < Cols; ++J) {
       if (!IsAllowed(J))
         continue;
-      if (Logits->at(Last, J) > BestV) {
-        BestV = Logits->at(Last, J);
+      if (Row[J] > BestV) {
+        BestV = Row[J];
         Best = J;
       }
     }
@@ -768,10 +801,9 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
   // skip the sweep entirely (a vocabulary of exp() calls per step).
   Prob = 1.0;
   if (WithProbs) {
-    const float *Row = &Logits->Data[static_cast<size_t>(Last) * Logits->Cols];
     float MaxAll = BestV;
     double Sum = 0.0;
-    for (int J = 0; J < Logits->Cols; ++J) {
+    for (int J = 0; J < Cols; ++J) {
       float V = Row[J];
       if (V > MaxAll) {
         Sum = Sum * std::exp(static_cast<double>(MaxAll - V)) + 1.0;
@@ -831,10 +863,10 @@ bool CodeBE::decodeGreedyKV(KVCacheState &St, StepScratch &S,
           *StepSet, planBias(Plan, Step), static_cast<int>(Vocabulary.size()),
           [&](size_t K) { return Cols[K]; }, BestV);
     } else {
-      TensorPtr Logits =
-          logitsFor(rowTensor(Row, Config.DModel), St.Memory, Input,
-                    /*UseCombCache=*/true, PresenceRow);
-      Best = chooseGreedy(Logits, Allowed, Plan, Step, WithProbs, Prob);
+      const int V = static_cast<int>(Vocabulary.size());
+      float *Logits = StepScratch::fit(S.Logits, static_cast<size_t>(V));
+      rowLogits(Row, 1, St, Input, *PresenceRow, S, Logits);
+      Best = chooseGreedy(Logits, V, Allowed, Plan, Step, WithProbs, Prob);
     }
     if (Best < 0 || Best == Vocabulary.eosId())
       return true;
@@ -963,7 +995,9 @@ CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
       TensorPtr Logits =
           logitsFor(DecOut, Memory, Input, /*UseCombCache=*/true);
       double Prob = 1.0;
-      int Best = chooseGreedy(Logits, Allowed, Plan, Step, WithProbs, Prob);
+      int Best = chooseGreedy(
+          &Logits->Data[static_cast<size_t>(Logits->Rows - 1) * Logits->Cols],
+          Logits->Cols, Allowed, Plan, Step, WithProbs, Prob);
       if (Best < 0 || Best == Vocabulary.eosId())
         break;
       Result.Tokens.push_back(Best);
@@ -1150,6 +1184,14 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
 
   TensorPtr PresenceRow = presenceFor(1, Input);
   StepScratch Scratch;
+  const size_t D = static_cast<size_t>(Config.DModel);
+  const int V = static_cast<int>(Vocabulary.size());
+  struct Expansion {
+    size_t Parent;
+    int Token;
+    double Score;
+  };
+  std::vector<Expansion> Exps;
   for (int Step = 0; Step < Config.MaxDstLen && !Live.empty(); ++Step) {
     // Positions past the plan end every surviving statement, exactly like
     // the greedy loop.
@@ -1164,48 +1206,51 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
             ? &Plan->Bias[static_cast<size_t>(Step)]
             : nullptr;
 
-    struct Expansion {
-      size_t Parent;
-      int Token;
-      double Score;
-    };
-    std::vector<Expansion> Exps;
-    for (size_t BI = 0; BI < Live.size(); ++BI) {
-      LiveBeam &B = Live[BI];
-      const float *DecRow = decodeStep(B.St, Scratch, B.PrevTok);
-      TensorPtr Logits =
-          logitsFor(rowTensor(DecRow, Config.DModel), Memory, Input,
-                    /*UseCombCache=*/true, PresenceRow);
-      int Last = Logits->Rows - 1;
-      const float *Row = &Logits->Data[static_cast<size_t>(Last) * Logits->Cols];
+    // Lockstep logits: step every live hypothesis through its own KV cache,
+    // gather the decoder rows, and project them all in one GEMM. Each row's
+    // logits are the bits a solo rowLogits call would produce.
+    const size_t M = Live.size();
+    float *DecRows = StepScratch::fit(Scratch.DecRows, M * D);
+    for (size_t BI = 0; BI < M; ++BI) {
+      const float *DecRow = decodeStep(Live[BI].St, Scratch, Live[BI].PrevTok);
+      std::copy(DecRow, DecRow + D, DecRows + BI * D);
+    }
+    float *Logits = StepScratch::fit(Scratch.Logits, M * Vocabulary.size());
+    rowLogits(DecRows, static_cast<int>(M), Proto, Input, *PresenceRow,
+              Scratch, Logits);
+
+    Exps.clear();
+    for (size_t BI = 0; BI < M; ++BI) {
+      const double Parent = Live[BI].Score;
+      const float *Row = Logits + BI * Vocabulary.size();
       // Raw-row log-sum-exp: the same normalizer generate()'s confidence
       // pass divides by, so log P(token) = biasedLogit - LSE. A plan bias
       // can lift the winner above the raw maximum — that only shifts the
       // score, never breaks the ranking.
       float MaxRaw = -1e30f;
-      for (int J = 0; J < Logits->Cols; ++J)
+      for (int J = 0; J < V; ++J)
         if (Row[J] > MaxRaw)
           MaxRaw = Row[J];
       double Sum = 0.0;
-      for (int J = 0; J < Logits->Cols; ++J)
+      for (int J = 0; J < V; ++J)
         Sum += std::exp(static_cast<double>(Row[J] - MaxRaw));
       double LSE = static_cast<double>(MaxRaw) + std::log(Sum);
       if (StepSet) {
         for (int J : *StepSet) {
-          if (J < 0 || J >= Logits->Cols)
+          if (J < 0 || J >= V)
             continue;
-          float V = Row[J];
+          float Val = Row[J];
           if (Bias) {
             auto It = Bias->find(J);
             if (It != Bias->end())
-              V += It->second;
+              Val += It->second;
           }
-          Exps.push_back({BI, J, B.Score + static_cast<double>(V) - LSE});
+          Exps.push_back({BI, J, Parent + static_cast<double>(Val) - LSE});
         }
       } else {
-        for (int J = 0; J < Logits->Cols; ++J)
+        for (int J = 0; J < V; ++J)
           if (IsAllowed(J))
-            Exps.push_back({BI, J, B.Score + static_cast<double>(Row[J]) - LSE});
+            Exps.push_back({BI, J, Parent + static_cast<double>(Row[J]) - LSE});
       }
     }
     if (Exps.empty())

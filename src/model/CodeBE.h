@@ -264,20 +264,46 @@ private:
   /// cache, on raw row kernels over \p S (no Tensor is allocated); returns
   /// the new DModel-wide decoder output row, valid until \p S is reused.
   const float *decodeStep(KVCacheState &St, StepScratch &S, int TokenId);
-  /// The logitsFor row of decoder output \p DecRow evaluated only at
-  /// \p Ids (Out[K] for Ids[K]; ids outside the vocabulary are left
-  /// untouched), with the same float operations in the same order as the
-  /// fused inference tail of logitsFor, so every value is bit-identical to
-  /// that column of the full row.
+  /// The inference combined embeddings, transposed (DModel×vocab): the one
+  /// embedding cache, rebuilt by refreshCombCache() when the weights moved.
+  TensorPtr combT();
+  /// The copy head of logitsFor for decoder row \p DecRow: scaled scores
+  /// against the encoder memory, a softmax over the source, and the
+  /// attention mass scattered onto the source ids of \p Input in ascending
+  /// source order (repeated ids accumulate exactly as copyScatter does).
+  /// Returns S.CopyRow, a vocabulary-wide row; the caller hands it back
+  /// all-zero through StepScratch::clearCopyRow.
+  const float *copyMass(const float *DecRow, const KVCacheState &St,
+                        const std::vector<int> &Input, StepScratch &S);
+  /// Full logits rows for the \p M decoder rows at \p DecRows (M×DModel,
+  /// all decoding \p Input): one gemmDense against combT(), then per row
+  /// the copy head and the fused (base + copy·gate) + presence·bias tail.
+  /// Row I of \p Out (M×vocab) is bit-identical to logitsFor's row for the
+  /// same decoder output.
+  void rowLogits(const float *DecRows, int M, const KVCacheState &St,
+                 const std::vector<int> &Input, const Tensor &PresenceRow,
+                 StepScratch &S, float *Out);
+  /// The rowLogits row of decoder output \p DecRow evaluated only at \p Ids
+  /// (Out[K] for Ids[K]; ids outside the vocabulary are left untouched):
+  /// each column of combT() is one ascending +0 chain, the gemmDense
+  /// element chain, so every value is bit-identical to that column of the
+  /// full row.
   void columnLogits(const float *DecRow, const KVCacheState &St,
                     const std::vector<int> &Input, const Tensor &PresenceRow,
                     const std::vector<int> &Ids, StepScratch &S, float *Out);
-  /// Logits at \p Ids for the position after \p Prefix (fed after [E2D])
-  /// for input \p Src, through columnLogits (\p Columns) or read off the
-  /// full logitsFor row — the two routes the bit-equality test compares.
-  std::vector<float> planStepLogits(const std::vector<int> &Src,
-                                    const std::vector<int> &Prefix,
-                                    const std::vector<int> &Ids, bool Columns);
+  /// Every logits route over one teacher-forced KV decode, for the
+  /// bit-equality tests: \p DstIn is fed one token at a time for input
+  /// \p Src. Per position, Cols holds columnLogits at \p Ids (NaN where an
+  /// id is skipped), Rows the rowLogits row (\p RowsPerCall decoder rows
+  /// per call) and CachedRows the no-grad logitsFor row.
+  struct RouteLogits {
+    std::vector<float> Cols;       ///< |DstIn|×|Ids|
+    std::vector<float> Rows;       ///< |DstIn|×vocab
+    std::vector<float> CachedRows; ///< |DstIn|×vocab
+  };
+  RouteLogits routeLogits(const std::vector<int> &Src,
+                          const std::vector<int> &DstIn, int RowsPerCall,
+                          const std::vector<int> &Ids);
   TensorPtr attention(const TensorPtr &XQ, const TensorPtr &XKV,
                       const MHAP &P, const Tensor *Mask);
   TensorPtr encLayer(const TensorPtr &X, EncLayerP &L);
@@ -290,6 +316,10 @@ private:
   /// identically every step; presenceFor builds it once and logitsFor
   /// accepts it pre-computed (\p CachedPresence, matched on row count).
   TensorPtr presenceFor(int Rows, const std::vector<int> &SrcIds);
+  /// Logits rows on Tensor ops: the taped training graph (\p CombOverride,
+  /// or a fresh combinedEmbeddings()), and with \p UseCombCache the no-grad
+  /// FullRecompute / routeLogits reference, whose base reads combT()
+  /// through gemmDense.
   TensorPtr logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
                       const std::vector<int> &SrcIds, bool UseCombCache,
                       const TensorPtr &CachedPresence = nullptr,
@@ -299,20 +329,20 @@ private:
   /// \p Comb is the batch-shared combined-embeddings node; returns the 1×1
   /// loss, or nullptr for untrainable (empty-sided) pairs.
   TensorPtr trainLoss(const TrainPair &Pair, const TensorPtr &Comb);
-  /// Greedy constrained argmax over the last row of \p Logits at plan step
-  /// \p Step (bias-adjusted), plus — when \p WithProbs — the fused
-  /// online-softmax probability of the winner. Returns -1 when nothing is
-  /// admissible.
-  int chooseGreedy(const TensorPtr &Logits, const std::vector<uint8_t> *Allowed,
-                   const DecodePlan *Plan, int Step, bool WithProbs,
-                   double &Prob) const;
+  /// Greedy constrained argmax over the logits row \p Row (\p Cols wide)
+  /// at plan step \p Step (bias-adjusted), plus — when \p WithProbs — the
+  /// fused online-softmax probability of the winner. Returns -1 when
+  /// nothing is admissible.
+  int chooseGreedy(const float *Row, int Cols,
+                   const std::vector<uint8_t> *Allowed, const DecodePlan *Plan,
+                   int Step, bool WithProbs, double &Prob) const;
   /// Runs the KV-cache greedy loop over plan steps [Begin, End), extending
   /// \p St and appending chosen tokens to \p Result. \p PrevTok carries the
   /// last token fed to the decoder across calls. Returns true when the
   /// decode ended inside the range (EOS, no admissible token, or plan
   /// exhausted) — the caller must not continue it.
   /// Constrained steps without probabilities choose through columnLogits;
-  /// the rest build the full logitsFor row.
+  /// the rest through one rowLogits row.
   bool decodeGreedyKV(KVCacheState &St, StepScratch &S,
                       const std::vector<int> &Input,
                       const std::vector<uint8_t> *Allowed,
@@ -341,9 +371,9 @@ private:
   LinearP CopyProj;
   TensorPtr CopyGate;
   TensorPtr SrcBias; ///< learned boost for tokens present in the source
-  TensorPtr CombCache; ///< no-grad combined embeddings for inference
+  TensorPtr CombT; ///< see combT(); no grad
   std::atomic<bool> CombDirty{true};
-  std::mutex CombMu; ///< serializes CombCache refresh across threads
+  std::mutex CombMu; ///< serializes CombT refresh across threads
   DecodeMode Mode = DecodeMode::KVCache;
 
   /// The data-parallel training engine drives trainLoss/parameters/

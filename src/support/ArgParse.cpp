@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <type_traits>
 
 using namespace vega;
 
@@ -170,6 +171,46 @@ StatusOr<int> ArgParse::parseInt(const std::string &Text,
     return Status::invalidArgument(What + " is out of range: '" + Text + "'");
   return static_cast<int>(N);
 }
+
+template <typename T>
+StatusOr<T> ArgParse::getNumber(const std::string &Name, T Default) const {
+  if (!has(Name))
+    return Default;
+  return parseNumber<T>(get(Name), "--" + Name);
+}
+
+template <typename T>
+StatusOr<T> ArgParse::parseNumber(const std::string &Text,
+                                  const std::string &What) {
+  static_assert(std::is_same_v<T, double> ||
+                    std::is_same_v<T, unsigned long long>,
+                "parseNumber parses double or unsigned long long");
+  char *End = nullptr;
+  errno = 0;
+  T V;
+  if constexpr (std::is_same_v<T, double>)
+    V = std::strtod(Text.c_str(), &End);
+  else
+    V = std::strtoull(Text.c_str(), &End, 10);
+  // strtoull negates a leading '-' into a huge value; refuse any sign.
+  const bool Signed = !std::is_same_v<T, double> &&
+                      Text.find_first_of("+-") != std::string::npos;
+  if (Text.empty() || End == Text.c_str() || *End != '\0' || Signed)
+    return Status::invalidArgument(What + " expects a number, got '" + Text +
+                                   "'");
+  if (errno == ERANGE)
+    return Status::invalidArgument(What + " is out of range: '" + Text + "'");
+  return V;
+}
+
+template StatusOr<double> ArgParse::getNumber(const std::string &,
+                                              double) const;
+template StatusOr<unsigned long long>
+ArgParse::getNumber(const std::string &, unsigned long long) const;
+template StatusOr<double> ArgParse::parseNumber(const std::string &,
+                                                const std::string &);
+template StatusOr<unsigned long long>
+ArgParse::parseNumber(const std::string &, const std::string &);
 
 std::string ArgParse::usage() const {
   std::string Out = Overview.empty() ? "" : Overview + "\n\n";

@@ -89,6 +89,20 @@ public:
   static StatusOr<int> parseInt(const std::string &Text,
                                 const std::string &What);
 
+  /// Value of floating-point or unsigned option \p Name (T is double or
+  /// unsigned long long): \p Default when absent, else its text through
+  /// parseNumber, so a malformed value is invalid-argument naming the flag.
+  template <typename T>
+  StatusOr<T> getNumber(const std::string &Name, T Default) const;
+
+  /// Parses \p Text as a whole number: a double through strtod, an
+  /// unsigned long long through base-10 strtoull. Empty text, trailing
+  /// junk, a sign on an unsigned value and values out of range are
+  /// invalid-argument naming \p What.
+  template <typename T>
+  static StatusOr<T> parseNumber(const std::string &Text,
+                                 const std::string &What);
+
   /// The selected subcommand ("" when no commands are registered or none
   /// was given).
   const std::string &command() const { return Command; }

@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 
 using namespace vega;
 
@@ -970,12 +973,23 @@ namespace vega {
 /// White-box access to CodeBE's private decode routes.
 class CodeBEProbe {
 public:
-  static std::vector<float> planStepLogits(CodeBE &Model,
-                                           const std::vector<int> &Src,
-                                           const std::vector<int> &Prefix,
-                                           const std::vector<int> &Ids,
-                                           bool Columns) {
-    return Model.planStepLogits(Src, Prefix, Ids, Columns);
+  static auto routeLogits(CodeBE &Model, const std::vector<int> &Src,
+                          const std::vector<int> &DstIn, int RowsPerCall,
+                          const std::vector<int> &Ids) {
+    return Model.routeLogits(Src, DstIn, RowsPerCall, Ids);
+  }
+
+  /// Teacher-forced logits of the taped training graph (grad on, fresh
+  /// combined embeddings, no cache): row T scores the token after
+  /// DstIn[0..T].
+  static TensorPtr tapedLogits(CodeBE &Model, std::vector<int> Src,
+                               const std::vector<int> &DstIn) {
+    EXPECT_FALSE(NoGradGuard::active());
+    if (static_cast<int>(Src.size()) > Model.config().MaxSrcLen)
+      Src.resize(static_cast<size_t>(Model.config().MaxSrcLen));
+    TensorPtr Memory = Model.runEncoder(Src);
+    TensorPtr DecOut = Model.runDecoder(Memory, DstIn);
+    return Model.logitsFor(DecOut, Memory, Src, /*UseCombCache=*/false);
   }
 };
 } // namespace vega
@@ -999,22 +1013,24 @@ TEST(CodeBE, ColumnLogitsMatchFullLogitsRow) {
       {V.clsId(), W(9), W(9), W(9), W(9), W(9), W(9), W(9), W(4)}};
   std::vector<int> Ids = {W(3), W(7), -1, V.eosId(), W(3), Vocab,
                           V.csId(20), W(11), Vocab + 5, W(1)};
-  for (size_t SI = 0; SI < Srcs.size(); ++SI)
-    for (const std::vector<int> &Prefix :
-         {std::vector<int>{}, std::vector<int>{V.csId(20)},
-          std::vector<int>{V.csId(20), W(3), W(7)}}) {
-      std::vector<float> Cols =
-          CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, true);
-      std::vector<float> Full =
-          CodeBEProbe::planStepLogits(Model, Srcs[SI], Prefix, Ids, false);
+  // Every position of the decode [E2D] cs20 w3 w7 (prefixes of length 0
+  // to 3).
+  std::vector<int> DstIn = {V.e2dId(), V.csId(20), W(3), W(7)};
+  for (size_t SI = 0; SI < Srcs.size(); ++SI) {
+    auto R =
+        CodeBEProbe::routeLogits(Model, Srcs[SI], DstIn, 1, Ids);
+    for (size_t T = 0; T < DstIn.size(); ++T)
       for (size_t K = 0; K < Ids.size(); ++K) {
         if (Ids[K] < 0 || Ids[K] >= Vocab)
           continue;
-        EXPECT_EQ(std::memcmp(&Cols[K], &Full[K], sizeof(float)), 0)
-            << "source " << SI << " prefix " << Prefix.size() << " id "
-            << Ids[K] << ": " << Cols[K] << " vs " << Full[K];
+        const float Col = R.Cols[T * Ids.size() + K];
+        const float Full = R.CachedRows[T * static_cast<size_t>(Vocab) +
+                                        static_cast<size_t>(Ids[K])];
+        EXPECT_EQ(std::memcmp(&Col, &Full, sizeof(float)), 0)
+            << "source " << SI << " prefix " << T << " id " << Ids[K] << ": "
+            << Col << " vs " << Full;
       }
-    }
+  }
 
   // End to end: the KV decoder (column route on constrained steps) and full
   // recomputation (full rows) choose identically under biases that reorder
@@ -1034,4 +1050,276 @@ TEST(CodeBE, ColumnLogitsMatchFullLogitsRow) {
     CodeBE::Decoded Got = Model.generate(Src, nullptr, &Plan, false);
     EXPECT_EQ(Got.Tokens, Want.Tokens);
   }
+}
+
+namespace {
+
+bool sameBits(float A, float B) { return std::memcmp(&A, &B, sizeof A) == 0; }
+
+} // namespace
+
+TEST(CodeBE, RawLogitsMatchTapedLogits) {
+  // The raw inference routes (rowLogits over one or four decoder rows,
+  // columnLogits at chosen ids, both reading the transposed embedding
+  // cache) against the taped training graph's teacher-forced logits, which
+  // share no cache and no raw kernel with them: every value bit for bit.
+  // Sources repeat ids (the copy head accumulates their attention mass in
+  // source order) and overrun MaxSrcLen; column ids repeat and fall outside
+  // the vocabulary (skipped).
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  CodeBE &Model = *M.Model;
+  const Vocab &V = M.V;
+  const int Vocab = static_cast<int>(V.size());
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+
+  std::vector<std::vector<int>> Srcs = {
+      {V.clsId(), W(3), W(3), W(7), W(3), W(1)},
+      {V.clsId(), W(5), W(2)},
+      {V.clsId(), W(9), W(9), W(9), W(9), W(9), W(9), W(9), W(4)}};
+  std::vector<int> DstIn = {V.e2dId(), V.csId(20), W(3), W(7), W(3), W(11)};
+  std::vector<int> Ids = {W(3), -1, V.eosId(), W(3), Vocab, V.csId(20),
+                          W(11), Vocab + 5, W(1)};
+  for (size_t SI = 0; SI < Srcs.size(); ++SI) {
+    TensorPtr Taped = CodeBEProbe::tapedLogits(Model, Srcs[SI], DstIn);
+    ASSERT_EQ(Taped->Rows, static_cast<int>(DstIn.size()));
+    ASSERT_EQ(Taped->Cols, Vocab);
+    for (int RowsPerCall : {1, 4}) {
+      auto R =
+          CodeBEProbe::routeLogits(Model, Srcs[SI], DstIn, RowsPerCall, Ids);
+      size_t Mismatch = 0;
+      for (int T = 0; T < Taped->Rows; ++T)
+        for (int J = 0; J < Vocab; ++J)
+          if (!sameBits(R.Rows[static_cast<size_t>(T * Vocab + J)],
+                        Taped->at(T, J)))
+            ++Mismatch;
+      EXPECT_EQ(Mismatch, 0u)
+          << "source " << SI << ", " << RowsPerCall << " rows per call";
+      for (int T = 0; T < Taped->Rows; ++T)
+        for (size_t K = 0; K < Ids.size(); ++K) {
+          const float Got = R.Cols[static_cast<size_t>(T) * Ids.size() + K];
+          if (Ids[K] < 0 || Ids[K] >= Vocab)
+            EXPECT_TRUE(std::isnan(Got)) << "id " << Ids[K] << " was written";
+          else
+            EXPECT_TRUE(sameBits(Got, Taped->at(T, Ids[K])))
+                << "source " << SI << " position " << T << " id " << Ids[K];
+        }
+    }
+  }
+
+  // Decodes under plan biases: every token the KV decoder picks (column
+  // route on multi-id steps, a full rowLogits row on the empty step) is the
+  // biased argmax of the taped logits over the prefix it decoded.
+  CodeBE::DecodePlan Plan;
+  Plan.Steps = {{V.csId(20), V.csId(0), -3},
+                {W(3), W(7), W(1), Vocab + 1},
+                {},
+                {W(7), W(3), W(9), V.eosId()},
+                {V.eosId(), W(9)}};
+  Plan.Bias = {{},
+               {{W(7), 0.75f}, {W(1), -0.5f}},
+               {},
+               {{V.eosId(), -2.0f}, {W(3), 0.25f}}};
+  for (const std::vector<int> &Src : Srcs) {
+    CodeBE::Decoded Got = Model.generate(Src, nullptr, &Plan, false);
+    std::vector<int> Prefix = {V.e2dId()};
+    for (size_t Step = 0; Step <= Got.Tokens.size(); ++Step) {
+      if (Step >= Plan.Steps.size())
+        break;
+      TensorPtr Taped = CodeBEProbe::tapedLogits(Model, Src, Prefix);
+      const int Last = Taped->Rows - 1;
+      std::vector<int> Set = Plan.Steps[Step];
+      if (Set.empty())
+        for (int J = 0; J < Vocab; ++J)
+          Set.push_back(J);
+      int Best = -1;
+      float BestV = -1e30f;
+      for (int J : Set) {
+        if (J < 0 || J >= Vocab)
+          continue;
+        float Score = Taped->at(Last, J);
+        if (Step < Plan.Bias.size()) {
+          auto It = Plan.Bias[Step].find(J);
+          if (It != Plan.Bias[Step].end())
+            Score += It->second;
+        }
+        if (Score > BestV) {
+          BestV = Score;
+          Best = J;
+        }
+      }
+      if (Step == Got.Tokens.size()) {
+        EXPECT_TRUE(Best < 0 || Best == V.eosId()) << "decode stopped early";
+        break;
+      }
+      EXPECT_EQ(Got.Tokens[Step], Best) << "step " << Step;
+      Prefix.push_back(Got.Tokens[Step]);
+    }
+  }
+}
+
+namespace {
+
+/// decodeBeam's search rules over logits from the taped full-prefix
+/// decoder: raw-row log-sum-exp, plan bias on admissible ids, stable sort
+/// with expansion-order ties, [EOS] retiring a hypothesis without taking a
+/// slot, and best-first dedup of the finished set.
+std::vector<CodeBE::BeamHypothesis>
+referenceBeam(CodeBE &Model, const std::vector<int> &Src, int Width,
+              const std::vector<uint8_t> *Allowed,
+              const CodeBE::DecodePlan *Plan) {
+  const Vocab &V = Model.vocab();
+  const int Vocab = static_cast<int>(V.size());
+  auto IsAllowed = [&](int Id) {
+    if (!Allowed || Id == V.eosId() || V.isCsToken(Id))
+      return true;
+    return static_cast<size_t>(Id) < Allowed->size() &&
+           (*Allowed)[static_cast<size_t>(Id)] != 0;
+  };
+  struct Hyp {
+    std::vector<int> Tokens;
+    double Score;
+  };
+  struct Expansion {
+    size_t Parent;
+    int Token;
+    double Score;
+  };
+  std::vector<Hyp> Live = {{{}, 0.0}};
+  std::vector<CodeBE::BeamHypothesis> Finished;
+  for (int Step = 0; Step < Model.config().MaxDstLen && !Live.empty();
+       ++Step) {
+    const size_t S = static_cast<size_t>(Step);
+    if (Plan && S >= Plan->Steps.size())
+      break;
+    const std::vector<int> *StepSet =
+        Plan && !Plan->Steps[S].empty() ? &Plan->Steps[S] : nullptr;
+    const std::map<int, float> *Bias =
+        StepSet && Plan->Bias.size() > S ? &Plan->Bias[S] : nullptr;
+    std::vector<Expansion> Exps;
+    for (size_t BI = 0; BI < Live.size(); ++BI) {
+      std::vector<int> DstIn = {V.e2dId()};
+      DstIn.insert(DstIn.end(), Live[BI].Tokens.begin(), Live[BI].Tokens.end());
+      TensorPtr Taped = CodeBEProbe::tapedLogits(Model, Src, DstIn);
+      const float *Row = &Taped->Data[static_cast<size_t>(Taped->Rows - 1) *
+                                      static_cast<size_t>(Vocab)];
+      float MaxRaw = -1e30f;
+      for (int J = 0; J < Vocab; ++J)
+        MaxRaw = Row[J] > MaxRaw ? Row[J] : MaxRaw;
+      double Sum = 0.0;
+      for (int J = 0; J < Vocab; ++J)
+        Sum += std::exp(static_cast<double>(Row[J] - MaxRaw));
+      const double LSE = static_cast<double>(MaxRaw) + std::log(Sum);
+      if (StepSet) {
+        for (int J : *StepSet) {
+          if (J < 0 || J >= Vocab)
+            continue;
+          float Val = Row[J];
+          if (Bias && Bias->count(J))
+            Val += Bias->at(J);
+          Exps.push_back(
+              {BI, J, Live[BI].Score + static_cast<double>(Val) - LSE});
+        }
+      } else {
+        for (int J = 0; J < Vocab; ++J)
+          if (IsAllowed(J))
+            Exps.push_back(
+                {BI, J, Live[BI].Score + static_cast<double>(Row[J]) - LSE});
+      }
+    }
+    if (Exps.empty())
+      break;
+    std::stable_sort(Exps.begin(), Exps.end(),
+                     [](const Expansion &A, const Expansion &B) {
+                       return A.Score > B.Score;
+                     });
+    std::vector<Hyp> Next;
+    for (const Expansion &E : Exps) {
+      if (static_cast<int>(Next.size()) >= Width)
+        break;
+      if (E.Token == V.eosId()) {
+        Finished.push_back({Live[E.Parent].Tokens, E.Score});
+        continue;
+      }
+      Hyp H = Live[E.Parent];
+      H.Tokens.push_back(E.Token);
+      H.Score = E.Score;
+      Next.push_back(std::move(H));
+    }
+    Live = std::move(Next);
+  }
+  for (Hyp &H : Live)
+    Finished.push_back({std::move(H.Tokens), H.Score});
+  std::stable_sort(Finished.begin(), Finished.end(),
+                   [](const CodeBE::BeamHypothesis &A,
+                      const CodeBE::BeamHypothesis &B) {
+                     return A.Score > B.Score;
+                   });
+  std::vector<CodeBE::BeamHypothesis> Out;
+  std::set<std::vector<int>> Seen;
+  for (CodeBE::BeamHypothesis &H : Finished) {
+    if (static_cast<int>(Out.size()) >= Width)
+      break;
+    if (Seen.insert(H.Tokens).second)
+      Out.push_back(std::move(H));
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(CodeBE, BeamMatchesTapedReferenceBeam) {
+  // decodeBeam steps its hypotheses through KV caches and projects all live
+  // rows in one GEMM per step; the reference re-runs the taped decoder over
+  // every full prefix. Tokens and scores must agree exactly at every width,
+  // with and without a plan (pinned, multi-id, empty and out-of-range
+  // steps, biases that reorder the admissible set) and an Allowed mask.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  CodeBE &Model = *M.Model;
+  const Vocab &V = M.V;
+  const int Vocab = static_cast<int>(V.size());
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+
+  std::vector<uint8_t> Allowed(V.size(), 0);
+  for (int I : {1, 3, 4, 7, 9})
+    Allowed[static_cast<size_t>(W(I))] = 1;
+  CodeBE::DecodePlan Plan;
+  Plan.Steps = {{V.csId(20), V.csId(0), -3},
+                {W(3), W(7), W(1), Vocab + 1},
+                {},
+                {W(7), W(3), W(9), V.eosId()},
+                {W(4)},
+                {V.eosId(), W(9), W(4)}};
+  Plan.Bias = {{{V.csId(0), 0.5f}},
+               {{W(7), 0.75f}, {W(1), -0.5f}},
+               {{W(2), 9.0f}}, // ignored: empty steps take no bias
+               {{V.eosId(), -2.0f}, {W(3), 0.25f}}};
+
+  std::vector<std::vector<int>> Srcs = {
+      {V.clsId(), W(3), W(3), W(7), W(3), W(1)},
+      {V.clsId(), W(5), W(2)},
+      {V.clsId(), W(9), W(4)}};
+  for (size_t SI = 0; SI < Srcs.size(); ++SI)
+    for (int Width = 1; Width <= 4; ++Width)
+      for (const CodeBE::DecodePlan *P :
+           std::initializer_list<const CodeBE::DecodePlan *>{nullptr, &Plan})
+        for (const std::vector<uint8_t> *A :
+             std::initializer_list<const std::vector<uint8_t> *>{nullptr,
+                                                                 &Allowed}) {
+          std::vector<CodeBE::BeamHypothesis> Want =
+              referenceBeam(Model, Srcs[SI], Width, A, P);
+          std::vector<CodeBE::BeamHypothesis> Got =
+              Model.decodeBeam(Srcs[SI], Width, A, P);
+          ASSERT_EQ(Got.size(), Want.size())
+              << "source " << SI << " width " << Width << " plan "
+              << (P != nullptr) << " mask " << (A != nullptr);
+          for (size_t I = 0; I < Want.size(); ++I) {
+            EXPECT_EQ(Got[I].Tokens, Want[I].Tokens)
+                << "source " << SI << " width " << Width << " rank " << I;
+            EXPECT_EQ(std::memcmp(&Got[I].Score, &Want[I].Score,
+                                  sizeof(double)),
+                      0)
+                << "source " << SI << " width " << Width << " rank " << I
+                << ": " << Got[I].Score << " vs " << Want[I].Score;
+          }
+        }
 }

@@ -500,6 +500,40 @@ TEST(ArgParse, MalformedIntegersAreInvalidArgumentNamingTheFlag) {
   }
 }
 
+TEST(ArgParse, MalformedNumbersAreInvalidArgumentNamingTheFlag) {
+  ArgParse P("tool", "test tool");
+  P.addOption("slow-ms", "ms", "threshold", "0");
+  P.addOption("seed", "N", "seed");
+  for (const char *Bad : {"--slow-ms=abc", "--slow-ms=", "--slow-ms=2ms",
+                          "--slow-ms=1e999"}) {
+    ASSERT_TRUE(P.parse({Bad}).isOk()) << Bad; // plain options parse as text
+    StatusOr<double> V = P.getNumber<double>("slow-ms", 0.0);
+    ASSERT_FALSE(V.isOk()) << Bad;
+    EXPECT_EQ(V.status().code(), StatusCode::InvalidArgument) << Bad;
+    EXPECT_EQ(V.status().toExitCode(), 2) << Bad;
+    EXPECT_NE(V.status().toString().find("--slow-ms"), std::string::npos)
+        << Bad << ": " << V.status().toString();
+  }
+  for (const char *Bad : {"--seed=-1", "--seed=+3", "--seed=4.5",
+                          "--seed=99999999999999999999", "--seed=x"}) {
+    ASSERT_TRUE(P.parse({Bad}).isOk()) << Bad;
+    StatusOr<unsigned long long> V =
+        P.getNumber<unsigned long long>("seed", 42);
+    ASSERT_FALSE(V.isOk()) << Bad;
+    EXPECT_NE(V.status().toString().find("--seed"), std::string::npos) << Bad;
+  }
+
+  ASSERT_TRUE(P.parse({"--slow-ms=250.5", "--seed=18446744073709551615"})
+                  .isOk());
+  EXPECT_EQ(*P.getNumber<double>("slow-ms", 0.0), 250.5);
+  EXPECT_EQ(*P.getNumber<unsigned long long>("seed", 42),
+            18446744073709551615ULL);
+  ASSERT_TRUE(P.parse(std::vector<std::string>{}).isOk());
+  EXPECT_EQ(*P.getNumber<double>("slow-ms", 7.0), 7.0); // absent: default
+  EXPECT_EQ(*P.getNumber<unsigned long long>("seed", 42), 42u);
+  EXPECT_EQ(*ArgParse::parseNumber<double>("1e-3", "lr"), 1e-3);
+}
+
 TEST(ArgParse, PassthroughCollectsUnknownFlags) {
   ArgParse P("bench", "bench tool");
   P.addOption("inference-report", "file", "report");

@@ -58,7 +58,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -530,23 +529,6 @@ StatusOr<int> epochsArg(const std::vector<std::string> &Args, size_t Index,
   return ArgParse::parseInt(Args[Index], "epochs");
 }
 
-/// Parses a whole floating-point or unsigned option value; invalid-argument
-/// naming --\p Flag for empty text, trailing junk or overflow.
-template <typename T, typename Conv>
-StatusOr<T> numberArg(const ArgParse &Args, const char *Flag, T Default,
-                      Conv Convert) {
-  if (!Args.has(Flag))
-    return Default;
-  const std::string &Text = Args.get(Flag);
-  char *End = nullptr;
-  errno = 0;
-  T V = Convert(Text.c_str(), &End);
-  if (Text.empty() || End == Text.c_str() || *End != '\0' || errno == ERANGE)
-    return Status::invalidArgument(std::string("--") + Flag +
-                                   " expects a number, got '" + Text + "'");
-  return V;
-}
-
 /// One JSON-RPC round trip against a vega-serve AF_UNIX socket: sends
 /// \p Request (one line) and returns the daemon's one-line response.
 StatusOr<std::string> socketRoundTrip(const std::string &Path,
@@ -753,12 +735,9 @@ int main(int argc, char **argv) {
                            Cmd == "evaluate" || Cmd == "repair";
   const StatusOr<int> Epochs =
       TakesEpochs ? epochsArg(Pos, Cmd == "build" ? 0 : 1, 8) : 8;
-  const StatusOr<double> LearningRate = numberArg<double>(
-      Args, "lr", 1e-3,
-      [](const char *S, char **E) { return std::strtod(S, E); });
-  const StatusOr<unsigned long long> Seed = numberArg<unsigned long long>(
-      Args, "seed", 42,
-      [](const char *S, char **E) { return std::strtoull(S, E, 10); });
+  const StatusOr<double> LearningRate = Args.getNumber<double>("lr", 1e-3);
+  const StatusOr<unsigned long long> Seed =
+      Args.getNumber<unsigned long long>("seed", 42);
   for (const Status *St : {&Epochs.status(), &LearningRate.status(),
                            &Seed.status()})
     if (!St->isOk())

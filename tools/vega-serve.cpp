@@ -33,7 +33,6 @@
 #include "support/ArgParse.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <vector>
@@ -118,10 +117,16 @@ int main(int argc, char **argv) {
     obs::Logger::instance().setLevel(*Level);
   }
 
+  const StatusOr<double> SlowMs = Args.getNumber<double>("slow-ms", 0.0);
+  if (!SlowMs.isOk()) {
+    std::fprintf(stderr, "vega-serve: %s\n%s",
+                 SlowMs.status().toString().c_str(), Args.usage().c_str());
+    return SlowMs.status().toExitCode();
+  }
   serve::ServerOptions Options;
   Options.Window = Args.getInt("window", 8);
   Options.MaxQueue = Args.getInt("max-queue", 64);
-  Options.SlowMs = std::atof(Args.get("slow-ms").c_str());
+  Options.SlowMs = *SlowMs;
   Options.Verbose = Args.has("verbose");
 
   Status ServeStatus = Status::ok();
